@@ -77,6 +77,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"fastsafe/internal/fabric"
 	"fastsafe/internal/fault"
@@ -89,7 +90,7 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "strict", "protection mode: off|strict|deferred|strict+preserve|strict+contig|fns|persistent|fns+huge|defer-noshootdown")
+	mode := flag.String("mode", "strict", "protection mode: "+strings.Join(modespec.Valid(), "|"))
 	flows := flag.Int("flows", 5, "bulk Rx flows")
 	txflows := flag.Int("txflows", 0, "bulk Tx flows (each on its own extra core)")
 	cores := flag.Int("cores", 5, "cores serving Rx flows")

@@ -209,3 +209,25 @@ func TestRegisterProbes(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertReusesEntries pins the ATC's steady-state cost: capacity
+// evictions and invalidations recycle entries instead of allocating.
+func TestInsertReusesEntries(t *testing.T) {
+	_, _, a := newCache(t, 4)
+	for i := 0; i < 4; i++ {
+		a.insert(ptable.IOVA(i*ptable.PageSize), 0x1000, false)
+	}
+	next := 4
+	allocs := testing.AllocsPerRun(1000, func() {
+		a.insert(ptable.IOVA(next*ptable.PageSize), 0x1000, false) // evicts
+		a.remove(a.entries[ptable.IOVA(next*ptable.PageSize)])
+		a.insert(ptable.IOVA((next+1)*ptable.PageSize), 0x1000, false)
+		next += 2
+	})
+	if allocs != 0 {
+		t.Fatalf("insert/evict cycle allocates %.2f times, want 0", allocs)
+	}
+	if a.Len() != 4 {
+		t.Fatalf("Len() = %d, want 4", a.Len())
+	}
+}

@@ -48,6 +48,19 @@ type Link struct {
 	// shadows bottlenecks it cannot actually see.
 	avgBacklog float64
 	lastSample sim.Time
+
+	// inflight holds Send's packets between serialisation and delivery.
+	// Delivery times busyUntil+prop never decrease and same-time events
+	// fire in scheduling order, so every arrival event pops its own
+	// packet; arriveFn is w.arrive bound once for those events.
+	inflight sim.FIFO[arrival]
+	arriveFn func()
+}
+
+// arrival is one packet in flight on a Link, waiting to be delivered.
+type arrival struct {
+	deliver func(ecn bool)
+	ecn     bool
 }
 
 // ecnTau is the backlog-averaging time constant.
@@ -56,7 +69,9 @@ const ecnTau = 20 * sim.Microsecond
 // NewLink returns a link with the given line rate and one-way
 // propagation delay.
 func NewLink(eng *sim.Engine, gbps float64, prop sim.Duration) *Link {
-	return &Link{eng: eng, gbps: gbps, prop: prop}
+	w := &Link{eng: eng, gbps: gbps, prop: prop}
+	w.arriveFn = w.arrive
+	return w
 }
 
 // SetECN enables ECN marking when the egress backlog exceeds k bytes.
@@ -104,7 +119,14 @@ func (w *Link) SendAt(bytes int) (at sim.Time, ecn bool) {
 // with the packet's ECN mark.
 func (w *Link) Send(bytes int, deliver func(ecn bool)) {
 	at, ecn := w.SendAt(bytes)
-	w.eng.At(at, func() { deliver(ecn) })
+	w.inflight.Push(arrival{deliver, ecn})
+	w.eng.At(at, w.arriveFn)
+}
+
+// arrive delivers the oldest packet in flight.
+func (w *Link) arrive() {
+	a := w.inflight.Pop()
+	a.deliver(a.ecn)
 }
 
 // Bytes returns the total bytes sent.

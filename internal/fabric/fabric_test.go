@@ -236,3 +236,23 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkSendAllocatesNothing pins the link's steady-state cost: with a
+// prebound deliver, sending a packet and delivering it allocates nothing.
+func TestLinkSendAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	w := NewLink(eng, 100, 1000)
+	deliver := func(bool) {}
+	for i := 0; i < 8; i++ {
+		w.Send(4096, deliver)
+	}
+	eng.RunAll()
+	allocs := testing.AllocsPerRun(1000, func() {
+		w.Send(4096, deliver)
+		w.Send(64, deliver)
+		eng.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("Send->deliver allocates %.2f times, want 0", allocs)
+	}
+}

@@ -11,9 +11,13 @@ import (
 // of §4.4 (Figure 8a's F&S gap at large ring sizes).
 type Core struct {
 	eng     *sim.Engine
-	queue   []coreItem
+	queue   sim.FIFO[coreItem]
+	cur     coreItem // the item whose CPU time is elapsing while running
 	running bool
 	busy    sim.Duration // accumulated busy time
+	// drainFn and finishFn are c.drain and c.finish bound once, so the
+	// per-item events schedule the same func every time.
+	drainFn, finishFn func()
 }
 
 type coreItem struct {
@@ -22,43 +26,51 @@ type coreItem struct {
 }
 
 // NewCore returns an idle core.
-func NewCore(eng *sim.Engine) *Core { return &Core{eng: eng} }
+func NewCore(eng *sim.Engine) *Core {
+	c := &Core{eng: eng}
+	c.drainFn, c.finishFn = c.drain, c.finish
+	return c
+}
 
 // Do enqueues work. work runs when the core reaches it and returns the CPU
 // time consumed; done (optional) fires after that time has elapsed.
 func (c *Core) Do(work func() sim.Duration, done func()) {
-	c.queue = append(c.queue, coreItem{work, done})
+	c.queue.Push(coreItem{work, done})
 	if !c.running {
 		c.running = true
-		c.eng.After(0, c.drain)
+		c.eng.After(0, c.drainFn)
 	}
 }
 
 func (c *Core) drain() {
-	if len(c.queue) == 0 {
+	if c.queue.Len() == 0 {
 		c.running = false
 		return
 	}
-	item := c.queue[0]
-	c.queue = c.queue[1:]
-	cost := item.work()
+	c.cur = c.queue.Pop()
+	cost := c.cur.work()
 	if cost < 0 {
 		cost = 0
 	}
 	c.busy += cost
-	c.eng.After(cost, func() {
-		if item.done != nil {
-			item.done()
-		}
-		c.drain()
-	})
+	c.eng.After(cost, c.finishFn)
+}
+
+// finish runs the finished item's done and starts the next item.
+func (c *Core) finish() {
+	done := c.cur.done
+	c.cur = coreItem{}
+	if done != nil {
+		done()
+	}
+	c.drain()
 }
 
 // BusyTime returns the total CPU time consumed so far.
 func (c *Core) BusyTime() sim.Duration { return c.busy }
 
 // QueueLen returns the number of pending work items.
-func (c *Core) QueueLen() int { return len(c.queue) }
+func (c *Core) QueueLen() int { return c.queue.Len() }
 
 // Busy reports whether the core is currently executing work.
 func (c *Core) Busy() bool { return c.running }

@@ -184,3 +184,26 @@ func TestSetAssocInvalidateAndLen(t *testing.T) {
 		t.Fatalf("len = %d, want 1", s.len())
 	}
 }
+
+// TestLRUReusesNodesAtCapacity pins the PTcache model's steady-state
+// cost: evicting puts and invalidate/put cycles at capacity reuse nodes
+// instead of allocating them.
+func TestLRUReusesNodesAtCapacity(t *testing.T) {
+	c := newLRU(4)
+	for k := uint64(0); k < 4; k++ {
+		c.put(k, k)
+	}
+	next := uint64(4)
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.put(next, next) // evicts the LRU entry
+		c.invalidate(next)
+		c.put(next+1, next) // refills from the free list
+		next += 2
+	})
+	if allocs != 0 {
+		t.Fatalf("put/invalidate cycle allocates %.2f times, want 0", allocs)
+	}
+	if c.len() != 4 {
+		t.Fatalf("len() = %d, want 4", c.len())
+	}
+}

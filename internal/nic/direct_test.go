@@ -193,3 +193,41 @@ func TestSendTxDirectStreamsWindow(t *testing.T) {
 		t.Fatalf("one-sided Tx mapped packets: %+v", c)
 	}
 }
+
+// TestRingAndDirectRxShareCompletionOrder interleaves ring (Arrive) and
+// one-sided (DirectRx) packets on the same Rx link: both paths complete
+// through one in-flight FIFO, so each completion must reach the packet
+// it belongs to, in submission order, and the ring's descriptor
+// accounting must balance. Ring packets beyond the four-DMA pipeline
+// wait in their ring queue while one-sided frames submit at once, which
+// fixes the delivery order below.
+func TestRingAndDirectRxShareCompletionOrder(t *testing.T) {
+	h := newDirectHarness(t, core.Strict, 64, Config{})
+	iovas := window(t, h)
+	stride := h.nic.FrameStride(4096)
+	for i := 0; i < 12; i++ {
+		if i%3 == 1 {
+			h.nic.DirectRx(Packet{Bytes: 4096, Payload: i}, iovas, stride*(i%2))
+		} else {
+			h.nic.Arrive(Packet{CPU: 0, Bytes: 4096, Payload: i})
+		}
+	}
+	h.eng.RunAll()
+	if len(h.delivered) != 12 {
+		t.Fatalf("delivered %d packets, want 12", len(h.delivered))
+	}
+	want := []int{0, 1, 2, 3, 4, 7, 10, 5, 6, 8, 9, 11}
+	for i, p := range h.delivered {
+		if p.Payload != want[i] {
+			t.Fatalf("delivery %d carried payload %v, want %d", i, p.Payload, want[i])
+		}
+	}
+	if h.nic.BufferOccupancy() != 0 {
+		t.Fatalf("buffer holds %d bytes after draining", h.nic.BufferOccupancy())
+	}
+	for d, n := range h.nic.rings[0].pending {
+		if n != 0 {
+			t.Fatalf("descriptor %p has %d DMAs outstanding after draining", d, n)
+		}
+	}
+}

@@ -111,12 +111,12 @@ type Stats struct {
 // interference (§2.2).
 type ring struct {
 	cpu      int
-	avail    []*core.Descriptor
+	avail    sim.FIFO[*core.Descriptor]
 	cur      *core.Descriptor
 	curByte  int                      // next free byte in the current descriptor
 	pending  map[*core.Descriptor]int // outstanding DMAs per descriptor
 	done     map[*core.Descriptor]bool
-	queue    []Packet // packets waiting for DMA on this ring
+	queue    sim.FIFO[Packet] // packets waiting for DMA on this ring
 	ringIOVA ptable.IOVA
 }
 
@@ -133,7 +133,18 @@ type NIC struct {
 	bufferBytes int
 	nextRing    int // round-robin pump cursor
 
-	txQueue []txEntry
+	txQueue sim.FIFO[txEntry]
+
+	// rxInflight and txInflight hold the state of each DMA submitted on
+	// n.rx and n.tx. A pcie.Link completes in submission order, so the
+	// prebound rxDoneFn/txDoneFn pop the entry of the DMA that finished.
+	rxInflight         sim.FIFO[rxEntry]
+	txInflight         sim.FIFO[txEntry]
+	rxDoneFn, txDoneFn func()
+
+	// batch and reads are pumpRx's scratch space, reused across calls.
+	batch [rxPipeline]rxEntry
+	reads [rxPipeline]int
 
 	// OnDeliver fires when a packet's DMA into memory completes; the host
 	// then charges per-packet stack work to the core.
@@ -149,6 +160,15 @@ type NIC struct {
 	txPumping bool
 }
 
+// rxEntry is one Rx DMA: a ring stride claimed for pkt in desc starting
+// at byte start, or a one-sided DirectRx frame when r is nil.
+type rxEntry struct {
+	r     *ring
+	pkt   Packet
+	desc  *core.Descriptor
+	start int // byte offset within the descriptor
+}
+
 type txEntry struct {
 	pkt Packet
 	m   *core.TxMapping
@@ -162,6 +182,7 @@ type txEntry struct {
 func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec Executor) (*NIC, error) {
 	cfg = cfg.withDefaults()
 	n := &NIC{eng: eng, cfg: cfg, dom: dom, rx: rx, tx: tx, exec: exec}
+	n.rxDoneFn, n.txDoneFn = n.rxDone, n.txDone
 	descPages := dom.DescriptorPages()
 	descBytes := descPages * ptable.PageSize
 	frame := cfg.MTU + cfg.HeaderBytes
@@ -185,7 +206,7 @@ func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec 
 			if err != nil {
 				return nil, err
 			}
-			r.avail = append(r.avail, desc)
+			r.avail.Push(desc)
 		}
 		n.rings = append(n.rings, r)
 	}
@@ -232,7 +253,7 @@ func (n *NIC) Arrive(pkt Packet) {
 	}
 	n.bufferBytes += pkt.Bytes
 	r := n.rings[pkt.CPU%len(n.rings)]
-	r.queue = append(r.queue, pkt)
+	r.queue.Push(pkt)
 	n.pumpRx()
 }
 
@@ -266,13 +287,8 @@ func (n *NIC) DirectRx(pkt Packet, iovas []ptable.IOVA, start int) {
 	}
 	n.stats.RxDMAs++
 	n.stats.RxBytes += int64(pkt.Bytes)
-	n.rx.Submit(pkt.Bytes, reads, func() {
-		n.bufferBytes -= pkt.Bytes
-		if n.OnDeliver != nil {
-			n.OnDeliver(pkt)
-		}
-		n.pumpRx()
-	})
+	n.rxInflight.Push(rxEntry{pkt: pkt})
+	n.rx.Submit(pkt.Bytes, reads, n.rxDoneFn)
 }
 
 func (n *NIC) directECNK() int {
@@ -313,32 +329,26 @@ func (n *NIC) pumpRx() {
 	// interleave at PCIe-transaction granularity — this is what lets
 	// concurrent DMAs contend for the IOTLB and PTcaches (§2.2).
 	for n.rx.Outstanding() < rxPipeline {
-		type pending struct {
-			r     *ring
-			pkt   Packet
-			desc  *core.Descriptor
-			start int // byte offset within the descriptor
-		}
-		var batch []pending
+		batch := n.batch[:0]
 		for n.rx.Outstanding()+len(batch) < rxPipeline {
 			r := n.pickRing()
 			if r == nil {
 				break
 			}
-			pkt := r.queue[0]
-			r.queue = r.queue[1:]
+			pkt := r.queue.Pop()
 			desc := r.cur
 			start := n.align(r.curByte)
 			r.curByte = start + n.frameBytes(pkt)
 			r.pending[desc]++
-			batch = append(batch, pending{r, pkt, desc, start})
+			batch = append(batch, rxEntry{r, pkt, desc, start})
 		}
 		if len(batch) == 0 {
 			return
 		}
 		// Translate the batch's transactions round-robin, the way they
 		// interleave on the wire, then submit each DMA.
-		reads := make([]int, len(batch))
+		reads := n.reads[:len(batch)]
+		clear(reads)
 		if n.dom.Mode().Translated() {
 			for t := 0; ; t++ {
 				progress := false
@@ -366,8 +376,9 @@ func (n *NIC) pumpRx() {
 			}
 		}
 		for i, p := range batch {
-			n.submitRxDMA(p.r, p.pkt, p.desc, reads[i])
+			n.submitRxDMA(p, reads[i])
 		}
+		clear(batch) // drop packet payload references until the next pump
 	}
 }
 
@@ -379,7 +390,7 @@ const rxPipeline = 4
 func (n *NIC) pickRing() *ring {
 	for i := 0; i < len(n.rings); i++ {
 		r := n.rings[(n.nextRing+i)%len(n.rings)]
-		if len(r.queue) == 0 {
+		if r.queue.Len() == 0 {
 			continue
 		}
 		if !n.ensureDescriptor(r) {
@@ -401,11 +412,10 @@ func (n *NIC) ensureDescriptor(r *ring) bool {
 	if r.cur != nil && n.align(r.curByte)+n.cfg.MTU+n.cfg.HeaderBytes <= len(r.cur.IOVAs)*ptable.PageSize {
 		return true
 	}
-	if len(r.avail) == 0 {
+	if r.avail.Len() == 0 {
 		return false
 	}
-	r.cur = r.avail[0]
-	r.avail = r.avail[1:]
+	r.cur = r.avail.Pop()
 	r.curByte = 0
 	if n.dom.Mode().Translated() {
 		n.dom.Translate(r.ringIOVA) // descriptor fetch
@@ -418,18 +428,25 @@ func (n *NIC) ensureDescriptor(r *ring) bool {
 
 // submitRxDMA submits one translated stride DMA (slot accounting was done
 // when the batch claimed the stride).
-func (n *NIC) submitRxDMA(r *ring, pkt Packet, desc *core.Descriptor, reads int) {
+func (n *NIC) submitRxDMA(e rxEntry, reads int) {
 	n.stats.RxDMAs++
-	n.stats.RxBytes += int64(pkt.Bytes)
-	n.rx.Submit(pkt.Bytes, reads, func() {
-		n.bufferBytes -= pkt.Bytes
-		r.pending[desc]--
-		n.maybeRecycle(r, desc)
-		if n.OnDeliver != nil {
-			n.OnDeliver(pkt)
-		}
-		n.pumpRx()
-	})
+	n.stats.RxBytes += int64(e.pkt.Bytes)
+	n.rxInflight.Push(e)
+	n.rx.Submit(e.pkt.Bytes, reads, n.rxDoneFn)
+}
+
+// rxDone completes the oldest Rx DMA, from submitRxDMA or DirectRx.
+func (n *NIC) rxDone() {
+	e := n.rxInflight.Pop()
+	n.bufferBytes -= e.pkt.Bytes
+	if e.r != nil {
+		e.r.pending[e.desc]--
+		n.maybeRecycle(e.r, e.desc)
+	}
+	if n.OnDeliver != nil {
+		n.OnDeliver(e.pkt)
+	}
+	n.pumpRx()
 }
 
 // maybeRecycle retires a fully-consumed, fully-DMAed descriptor: the
@@ -459,7 +476,7 @@ func (n *NIC) maybeRecycle(r *ring, desc *core.Descriptor) {
 			}
 			delete(r.pending, desc)
 			delete(r.done, desc)
-			r.avail = append(r.avail, fresh)
+			r.avail.Push(fresh)
 			return unmapCost + mapCost
 		}, func() {
 			n.pumpRx()
@@ -478,7 +495,7 @@ func (n *NIC) maybeRecycle(r *ring, desc *core.Descriptor) {
 // SendTx enqueues a Tx DMA: the NIC reads the packet out of host memory
 // through m's IOVAs. The host must have charged MapTx CPU cost already.
 func (n *NIC) SendTx(pkt Packet, m *core.TxMapping) {
-	n.txQueue = append(n.txQueue, txEntry{pkt: pkt, m: m})
+	n.txQueue.Push(txEntry{pkt: pkt, m: m})
 	n.pumpTx()
 }
 
@@ -487,7 +504,7 @@ func (n *NIC) SendTx(pkt Packet, m *core.TxMapping) {
 // byte offset start) through its own translation path — no per-packet
 // MapTx, and OnTxDone fires with a nil mapping so nothing is unmapped.
 func (n *NIC) SendTxDirect(pkt Packet, iovas []ptable.IOVA, start int) {
-	n.txQueue = append(n.txQueue, txEntry{pkt: pkt, iovas: iovas, start: start})
+	n.txQueue.Push(txEntry{pkt: pkt, iovas: iovas, start: start})
 	n.pumpTx()
 }
 
@@ -498,9 +515,8 @@ func (n *NIC) pumpTx() {
 	n.txPumping = true
 	defer func() { n.txPumping = false }()
 
-	for !n.tx.Busy() && len(n.txQueue) > 0 {
-		e := n.txQueue[0]
-		n.txQueue = n.txQueue[1:]
+	for !n.tx.Busy() && n.txQueue.Len() > 0 {
+		e := n.txQueue.Pop()
 		reads := 0
 		if n.dom.Mode().Translated() && e.m != nil {
 			n.cfg.Faults.Observe(e.m.IOVAs[0])
@@ -521,14 +537,19 @@ func (n *NIC) pumpTx() {
 		}
 		n.stats.TxDMAs++
 		n.stats.TxBytes += int64(e.pkt.Bytes)
-		n.tx.Submit(e.pkt.Bytes, reads, func() {
-			if n.OnTxDone != nil {
-				n.OnTxDone(e.pkt, e.m)
-			}
-			n.pumpTx()
-		})
+		n.txInflight.Push(e)
+		n.tx.Submit(e.pkt.Bytes, reads, n.txDoneFn)
 	}
 }
 
+// txDone completes the oldest Tx DMA.
+func (n *NIC) txDone() {
+	e := n.txInflight.Pop()
+	if n.OnTxDone != nil {
+		n.OnTxDone(e.pkt, e.m)
+	}
+	n.pumpTx()
+}
+
 // TxQueueLen reports packets waiting for a Tx DMA slot.
-func (n *NIC) TxQueueLen() int { return len(n.txQueue) }
+func (n *NIC) TxQueueLen() int { return n.txQueue.Len() }

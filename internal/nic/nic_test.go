@@ -6,6 +6,7 @@ import (
 	"fastsafe/internal/core"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/sim"
+	"fastsafe/internal/stats"
 )
 
 // instantExec runs driver work immediately with zero latency.
@@ -323,5 +324,38 @@ func TestRingStallCounter(t *testing.T) {
 	h.eng.RunAll()
 	if h.nic.Stats().RingStalls == 0 {
 		t.Fatal("expected ring stalls with a dead executor")
+	}
+}
+
+// TestQueueProbesReadLogicalLength checks the queue-depth probes against
+// their accessors while a Tx backlog drains step by step.
+func TestQueueProbesReadLogicalLength(t *testing.T) {
+	h := newHarness(t, core.Off, Config{})
+	reg := stats.NewRegistry()
+	h.nic.RegisterProbes(reg, "nic0.")
+	h.tx.RegisterProbes(reg, "nic0.pcie.tx.")
+	for i := 0; i < 7; i++ {
+		h.nic.SendTx(Packet{CPU: 0, Bytes: 4096, Payload: i}, nil)
+	}
+	sawBacklog := false
+	for {
+		q, _ := reg.Value("nic0.tx_queue")
+		if int(q) != h.nic.TxQueueLen() {
+			t.Fatalf("nic0.tx_queue = %v, TxQueueLen() = %d", q, h.nic.TxQueueLen())
+		}
+		o, _ := reg.Value("nic0.pcie.tx.outstanding")
+		if int(o) != h.tx.Outstanding() {
+			t.Fatalf("outstanding probe = %v, Outstanding() = %d", o, h.tx.Outstanding())
+		}
+		sawBacklog = sawBacklog || q > 1
+		if !h.eng.Step() {
+			break
+		}
+	}
+	if !sawBacklog {
+		t.Fatal("test never built a Tx backlog")
+	}
+	if h.nic.TxQueueLen() != 0 || len(h.txDone) != 7 {
+		t.Fatalf("TxQueueLen() = %d, completed %d, want 0 and 7", h.nic.TxQueueLen(), len(h.txDone))
 	}
 }

@@ -107,7 +107,8 @@ type Link struct {
 	gbps   float64
 	walker *Walker
 
-	queue       []dma
+	queue       sim.FIFO[dma]
+	cur         dma // the DMA in service while serving
 	serving     bool
 	outstanding int
 	stallUntil  sim.Time
@@ -115,12 +116,18 @@ type Link struct {
 	// lat records per-DMA completion latency (queue wait + service) in
 	// nanoseconds, feeding the telemetry registry's latency section.
 	lat stats.Histogram
+
+	// serveFn and finishFn are l.serve and l.finish bound once, so the
+	// per-DMA completion event schedules the same func every time.
+	serveFn, finishFn func()
 }
 
 // New returns a link with a private walker. gbps is the serialisation cap
 // (128 for PCIe 3.0 x16 in the paper's testbed).
 func New(eng *sim.Engine, l0, lm sim.Duration, gbps float64) *Link {
-	return &Link{eng: eng, l0: l0, gbps: gbps, walker: NewWalker(eng, lm)}
+	l := &Link{eng: eng, l0: l0, gbps: gbps, walker: NewWalker(eng, lm)}
+	l.serveFn, l.finishFn = l.serve, l.finish
+	return l
 }
 
 // AttachWalker replaces the link's private walker, typically with one
@@ -157,10 +164,11 @@ func (l *Link) Busy() bool { return l.outstanding > 0 }
 func (l *Link) Outstanding() int { return l.outstanding }
 
 // Submit enqueues a DMA; done fires when its service completes. DMAs are
-// served FIFO in submission order.
+// served FIFO, so completions fire in submission order: a caller may pass
+// one prebound done and keep its per-DMA state in its own FIFO.
 func (l *Link) Submit(bytes, memReads int, done func()) {
 	l.outstanding++
-	l.queue = append(l.queue, dma{bytes: bytes, reads: memReads, submit: l.eng.Now(), done: done})
+	l.queue.Push(dma{bytes: bytes, reads: memReads, submit: l.eng.Now(), done: done})
 	if !l.serving {
 		l.serving = true
 		l.serve()
@@ -168,18 +176,18 @@ func (l *Link) Submit(bytes, memReads int, done func()) {
 }
 
 func (l *Link) serve() {
-	if len(l.queue) == 0 {
+	if l.queue.Len() == 0 {
 		l.serving = false
 		return
 	}
 	// A flapped link holds the head of the queue until the stall passes;
 	// serving stays true so Submit cannot double-enter the server.
 	if now := l.eng.Now(); now < l.stallUntil {
-		l.eng.At(l.stallUntil, l.serve)
+		l.eng.At(l.stallUntil, l.serveFn)
 		return
 	}
-	d := l.queue[0]
-	l.queue = l.queue[1:]
+	d := l.queue.Pop()
+	l.cur = d
 	now := l.eng.Now()
 
 	translate := l.l0
@@ -198,11 +206,16 @@ func (l *Link) serve() {
 	l.stats.BusyTime += svc
 	l.stats.QueueTime += now - d.submit
 	l.lat.Observe(int64(now - d.submit + svc))
-	l.eng.After(svc, func() {
-		l.outstanding--
-		d.done()
-		l.serve()
-	})
+	l.eng.After(svc, l.finishFn)
+}
+
+// finish completes the DMA in service and moves on to the next one.
+func (l *Link) finish() {
+	done := l.cur.done
+	l.cur = dma{}
+	l.outstanding--
+	done()
+	l.serve()
 }
 
 // Latency returns the link's per-DMA completion-latency histogram
@@ -218,7 +231,7 @@ func (l *Link) RegisterProbes(r *stats.Registry, prefix string) {
 	r.GaugeFunc(prefix+"mem_reads", func() float64 { return float64(l.stats.MemReads) })
 	r.GaugeFunc(prefix+"busy_ns", func() float64 { return float64(l.stats.BusyTime) })
 	r.GaugeFunc(prefix+"queue_ns", func() float64 { return float64(l.stats.QueueTime) })
-	r.GaugeFunc(prefix+"outstanding", func() float64 { return float64(l.outstanding) })
+	r.GaugeFunc(prefix+"outstanding", func() float64 { return float64(l.Outstanding()) })
 	r.AddHistogram(prefix+"latency_ns", &l.lat)
 }
 

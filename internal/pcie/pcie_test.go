@@ -208,3 +208,24 @@ func TestProbesAndLatencyHistogram(t *testing.T) {
 		t.Fatalf("walker.reads = %v, %v; want 3, true", v, ok)
 	}
 }
+
+// TestSubmitCompletionAllocatesNothing pins the link's steady-state cost:
+// a DMA submitted with a prebound done is served and completed through
+// the link's own prebound events, with no per-DMA allocation.
+func TestSubmitCompletionAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	l := New(eng, 65, 197, 128)
+	done := func() {}
+	for i := 0; i < 8; i++ { // warm the queue and the engine's free list
+		l.Submit(4096, 1, done)
+	}
+	eng.RunAll()
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.Submit(4096, 1, done)
+		l.Submit(64, 0, done)
+		eng.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("Submit->completion allocates %.2f times, want 0", allocs)
+	}
+}

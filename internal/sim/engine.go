@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -45,25 +44,13 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a scheduled callback. Fired and cancelled events are recycled
+// event is a scheduled callback. Fired and cancelled events are recycled
 // through the engine's free list; gen distinguishes the current tenancy of
 // the struct from EventIDs issued for earlier tenancies.
-//
-// sched records the virtual time the event was scheduled at, and events
-// sharing a timestamp fire in (sched, seq) order. For a single engine
-// that refinement is vacuous — scheduling calls happen in nondecreasing
-// virtual time, so seq order already is sched order — but it lets the
-// shard coordinator insert cross-shard messages stamped with their true
-// generation time at a barrier, reproducing the order a single shared
-// engine would have fired the same-timestamp events in.
 type event struct {
-	at    Time
-	sched Time
-	seq   uint64
-	fn    func()
-	dead  bool
-	idx   int
-	gen   uint64
+	fn   func()
+	dead bool
+	gen  uint64
 }
 
 // EventID identifies a scheduled event so it can be cancelled. It pins the
@@ -75,43 +62,94 @@ type EventID struct {
 	gen uint64
 }
 
-type eventQueue []*event
+// slot is one entry of the event heap. It carries the ordering key next
+// to the event pointer so sifting never dereferences an event.
+//
+// sched records the virtual time the event was scheduled at, and events
+// sharing a timestamp fire in (sched, seq) order. For a single engine
+// that refinement is vacuous — scheduling calls happen in nondecreasing
+// virtual time, so seq order already is sched order — but it lets the
+// shard coordinator insert cross-shard messages stamped with their true
+// generation time at a barrier, reproducing the order a single shared
+// engine would have fired the same-timestamp events in.
+type slot struct {
+	at    Time
+	sched Time
+	seq   uint64
+	ev    *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a *slot) before(b *slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if q[i].sched != q[j].sched {
-		return q[i].sched < q[j].sched
+	if a.sched != b.sched {
+		return a.sched < b.sched
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
+
+// eventHeap is a 4-ary min-heap of slots ordered by (at, sched, seq).
+// seq is unique, so the order is total and the pop sequence does not
+// depend on the heap's shape. A 4-ary heap halves the depth of a binary
+// one, and its four children share a cache line or two.
+type eventHeap []slot
+
+func (h *eventHeap) push(s slot) {
+	q := append(*h, s)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = s
+	*h = q
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*q = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest slot. The vacated tail slot is
+// zeroed so the heap keeps no pointer to an event after it is recycled.
+func (h *eventHeap) pop() slot {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine.
 type Engine struct {
 	now   Time
-	queue eventQueue
+	queue eventHeap
 	seq   uint64
 	rng   *rand.Rand
 	// Fired counts events executed; useful for run-away detection in tests.
@@ -155,7 +193,6 @@ func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.dead = false
-	ev.idx = -1
 	e.free = append(e.free, ev)
 }
 
@@ -183,9 +220,9 @@ func (e *Engine) AtStamped(t, stamp Time, fn func()) EventID {
 		stamp = 0
 	}
 	ev := e.alloc()
-	ev.at, ev.sched, ev.seq, ev.fn = t, stamp, e.seq, fn
+	ev.fn = fn
+	e.queue.push(slot{at: t, sched: stamp, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	return EventID{ev, ev.gen}
 }
 
@@ -210,12 +247,13 @@ func (e *Engine) Cancel(id EventID) {
 // empty.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
+		s := e.queue.pop()
+		ev := s.ev
 		if ev.dead {
 			e.recycle(ev)
 			continue
 		}
-		e.now = ev.at
+		e.now = s.at
 		e.fired++
 		fn := ev.fn
 		e.recycle(ev)

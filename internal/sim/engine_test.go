@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -236,18 +237,125 @@ func TestCancelAfterCancelIsInert(t *testing.T) {
 	}
 }
 
-func TestPopClearsHeapIndex(t *testing.T) {
-	// eventQueue.Pop must reset idx so a popped event no longer claims a
-	// position inside the live heap.
+// FuzzEngineFiringOrder drives random At/AtStamped/Cancel/Step sequences
+// and checks the engine against a sort-based oracle: every Step must fire
+// the earliest live event by (at, sched, seq), with the engine's clamping
+// rules applied to the scheduled time and stamp. After every pop the heap
+// storage beyond its length must hold no event pointer, so a recycled
+// event is reachable only through the free list.
+func FuzzEngineFiringOrder(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 5, 1, 5, 9, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type rec struct {
+			at, sched Time
+			seq       int
+			id        EventID
+			dead      bool
+		}
+		e := NewEngine(1)
+		var pending []*rec
+		var all []*rec
+		fired := -1
+		schedule := func(t0, stamp Time, stamped bool) {
+			r := &rec{seq: len(all)}
+			n := len(all)
+			fn := func() { fired = n }
+			if stamped {
+				r.id = e.AtStamped(t0, stamp, fn)
+			} else {
+				r.id = e.At(t0, fn)
+				stamp = e.Now()
+			}
+			if t0 < e.Now() {
+				t0 = e.Now()
+			}
+			if stamp > t0 {
+				stamp = t0
+			}
+			if stamp < 0 {
+				stamp = 0
+			}
+			r.at, r.sched = t0, stamp
+			pending = append(pending, r)
+			all = append(all, r)
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := Time(ops[i+1])
+			switch ops[i] % 4 {
+			case 0:
+				schedule(e.Now()+arg%16-4, 0, false)
+			case 1:
+				schedule(e.Now()+arg%8, e.Now()+arg/8%16-8, true)
+			case 2:
+				if len(all) > 0 {
+					r := all[int(arg)%len(all)]
+					e.Cancel(r.id)
+					r.dead = true
+				}
+			case 3:
+				sort.Slice(pending, func(i, j int) bool {
+					a, b := pending[i], pending[j]
+					if a.at != b.at {
+						return a.at < b.at
+					}
+					if a.sched != b.sched {
+						return a.sched < b.sched
+					}
+					return a.seq < b.seq
+				})
+				if len(pending) > 0 {
+					if at, ok := e.PeekTime(); !ok || at != pending[0].at {
+						t.Fatalf("PeekTime = %v,%v, want %v", at, ok, pending[0].at)
+					}
+				}
+				want := -1
+				for len(pending) > 0 {
+					r := pending[0]
+					pending = pending[1:]
+					if !r.dead {
+						want = r.seq
+						r.dead = true // fired: later cancels are inert
+						break
+					}
+				}
+				fired = -1
+				if got := e.Step(); got != (want >= 0) {
+					t.Fatalf("op %d: Step() = %v, want %v", i, got, want >= 0)
+				}
+				if fired != want {
+					t.Fatalf("op %d: fired event %d, want %d", i, fired, want)
+				}
+				if want >= 0 && e.Now() != all[want].at {
+					t.Fatalf("op %d: Now() = %v, want %v", i, e.Now(), all[want].at)
+				}
+				for k, s := range e.queue[len(e.queue):cap(e.queue)] {
+					if s.ev != nil {
+						t.Fatalf("op %d: vacated heap slot %d still holds an event", i, len(e.queue)+k)
+					}
+				}
+			}
+			if e.Pending() != len(pending) {
+				t.Fatalf("op %d: Pending() = %d, want %d", i, e.Pending(), len(pending))
+			}
+		}
+	})
+}
+
+// TestScheduleFireAllocatesNothing pins the steady-state engine cost: with
+// a prebound callback and a warm free list, scheduling and firing an
+// event allocates nothing.
+func TestScheduleFireAllocatesNothing(t *testing.T) {
 	e := NewEngine(1)
-	e.At(10, func() {})
-	e.At(20, func() {})
-	var popped *event
-	e.queue[0].fn = func() {}
-	popped = e.queue[0]
-	e.Step()
-	if popped.idx != -1 {
-		t.Fatalf("popped event idx = %d, want -1", popped.idx)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.After(Duration(i), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.After(Duration(e.Fired()%64), fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Step allocates %.2f times per event, want 0", allocs)
 	}
 }
 
