@@ -19,12 +19,36 @@ func tiny() Options {
 	return o
 }
 
+// TestIDsAllResolvable runs every registered figure once at short
+// windows and checks that it renders a well-formed table under its own
+// registry id. A golden figure is checked on the run it shares with
+// TestGoldenFiguresByteIdentical (goldenOpts, windows as short as
+// tiny()'s); every other figure runs at tiny().
 func TestIDsAllResolvable(t *testing.T) {
+	golden := map[string]bool{}
+	for _, id := range goldenFigs {
+		golden[id] = true
+	}
 	for _, id := range IDs() {
-		if _, err := ByID(id, Options{}); id == "" || err != nil && !strings.Contains(err.Error(), "unknown") {
-			// We don't run them here (expensive); just check registration
-			// below with one cheap figure.
-			break
+		var tab Table
+		if golden[id] {
+			tab = goldenTable(t, id)
+		} else {
+			var err error
+			if tab, err = ByID(id, tiny()); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+		}
+		if tab.ID != id {
+			t.Errorf("figure %q renders table id %q", id, tab.ID)
+		}
+		if len(tab.Rows) == 0 {
+			t.Errorf("%s: no rows", id)
+		}
+		for i, row := range tab.Rows {
+			if len(row) != len(tab.Header) {
+				t.Errorf("%s row %d has %d cells, header has %d", id, i, len(row), len(tab.Header))
+			}
 		}
 	}
 	if _, err := ByID("nope", tiny()); err == nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"fastsafe/internal/race"
@@ -41,6 +42,33 @@ func goldenOpts() Options {
 // zero-stale audit columns locked byte-for-byte).
 var goldenFigs = []string{"fig2", "fig7", "modes", "storage", "cluster", "clusterscale", "rdma", "capability", "serving", "adaptive"}
 
+// goldenRuns memoises each golden figure's table at goldenOpts, so the
+// golden test and TestIDsAllResolvable share one run per figure.
+var goldenRuns struct {
+	sync.Mutex
+	tabs map[string]Table
+}
+
+// goldenTable returns golden figure id rendered at goldenOpts, running it
+// at most once per test binary.
+func goldenTable(t *testing.T, id string) Table {
+	t.Helper()
+	goldenRuns.Lock()
+	defer goldenRuns.Unlock()
+	if tab, ok := goldenRuns.tabs[id]; ok {
+		return tab
+	}
+	tab, err := ByID(id, goldenOpts())
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	if goldenRuns.tabs == nil {
+		goldenRuns.tabs = map[string]Table{}
+	}
+	goldenRuns.tabs[id] = tab
+	return tab
+}
+
 // TestGoldenFiguresByteIdentical regenerates each golden figure and
 // requires byte-for-byte identity with the committed file. Regenerate
 // with UPDATE_GOLDEN=1 go test ./internal/experiments -run Golden —
@@ -55,11 +83,7 @@ func TestGoldenFiguresByteIdentical(t *testing.T) {
 			// from the host equivalence tests instead.
 			continue
 		}
-		tab, err := ByID(id, goldenOpts())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		got := tab.String()
+		got := goldenTable(t, id).String()
 		path := filepath.Join("testdata", "golden", id+".txt")
 		if update {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -10,118 +10,110 @@ package iommu
 // selecting a page-table page; the value is the identity of that page,
 // used to detect stale (use-after-reclaim) entries.
 //
-// Nodes are reused: put recycles the node it evicts, and invalidate keeps
-// the removed node on a free list (linked through next) for the next put.
-// Live plus free nodes never exceed cap.
+// The live entries are packed into slots [0, n) of three parallel arrays.
+// Every get hit and every put stamps its slot with the next tick of a
+// per-cache clock, so the stamps order the entries exactly as a
+// move-to-front list would, and the smallest live stamp is that list's
+// tail: evicting it keeps the classic LRU order. invalidate moves the
+// last live slot, stamp and all, into the hole, so a lookup only ever
+// scans the n live keys.
 type lru struct {
-	cap   int
-	items map[uint64]*lruNode
-	head  *lruNode // most recently used
-	tail  *lruNode // least recently used
-	free  *lruNode
-}
-
-type lruNode struct {
-	key        uint64
-	val        uint64
-	prev, next *lruNode
+	keys, vals, stamps []uint64 // each of length cap
+	n                  int      // live entries, in slots [0, n)
+	clock              uint64
 }
 
 func newLRU(capacity int) *lru {
+	c := new(lru)
+	c.init(capacity)
+	return c
+}
+
+func (c *lru) init(capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lru{cap: capacity, items: make(map[uint64]*lruNode, capacity)}
+	buf := make([]uint64, 3*capacity)
+	c.keys = buf[:capacity:capacity]
+	c.vals = buf[capacity : 2*capacity : 2*capacity]
+	c.stamps = buf[2*capacity:]
 }
 
-func (c *lru) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
+// find returns key's slot, or -1.
+func (c *lru) find(key uint64) int {
+	for i, k := range c.keys[:c.n] {
+		if k == key {
+			return i
+		}
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
+	return -1
 }
 
-func (c *lru) pushFront(n *lruNode) {
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
+// touch marks slot i most recently used.
+func (c *lru) touch(i int) {
+	c.clock++
+	c.stamps[i] = c.clock
 }
 
 // get returns the value for key and marks it most recently used.
 func (c *lru) get(key uint64) (uint64, bool) {
-	n, ok := c.items[key]
-	if !ok {
+	i := c.find(key)
+	if i < 0 {
 		return 0, false
 	}
-	if c.head != n {
-		c.unlink(n)
-		c.pushFront(n)
-	}
-	return n.val, true
+	c.touch(i)
+	return c.vals[i], true
 }
 
 // put inserts or refreshes key, evicting the LRU entry at capacity.
 func (c *lru) put(key, val uint64) {
-	if n, ok := c.items[key]; ok {
-		n.val = val
-		if c.head != n {
-			c.unlink(n)
-			c.pushFront(n)
+	i := c.find(key)
+	if i < 0 {
+		if c.n < len(c.keys) {
+			i = c.n
+			c.n++
+		} else {
+			i = c.oldest()
 		}
-		return
+		c.keys[i] = key
 	}
-	var n *lruNode
-	switch {
-	case len(c.items) >= c.cap:
-		n = c.tail
-		c.unlink(n)
-		delete(c.items, n.key)
-	case c.free != nil:
-		n = c.free
-		c.free = n.next
-		n.next = nil
-	default:
-		n = new(lruNode)
+	c.vals[i] = val
+	c.touch(i)
+}
+
+// oldest returns the live slot with the smallest stamp.
+func (c *lru) oldest() int {
+	lo := 0
+	for i, s := range c.stamps[:c.n] {
+		if s < c.stamps[lo] {
+			lo = i
+		}
 	}
-	n.key, n.val = key, val
-	c.items[key] = n
-	c.pushFront(n)
+	return lo
 }
 
 // invalidate removes key if present, reporting whether it was present.
 func (c *lru) invalidate(key uint64) bool {
-	n, ok := c.items[key]
-	if !ok {
+	i := c.find(key)
+	if i < 0 {
 		return false
 	}
-	c.unlink(n)
-	delete(c.items, key)
-	n.next = c.free
-	c.free = n
+	c.n--
+	c.keys[i], c.vals[i], c.stamps[i] = c.keys[c.n], c.vals[c.n], c.stamps[c.n]
 	return true
 }
 
-func (c *lru) len() int { return len(c.items) }
+func (c *lru) len() int { return c.n }
+
+// reset empties the cache in place.
+func (c *lru) reset() { c.n = 0 }
 
 // setAssoc is a set-associative cache used for the IOTLB: pageNumber keys
 // map to a set by their low bits, and each set is a tiny LRU of `ways`
 // entries. Conflict misses under scattered (poorly localised) IOVAs and
 // their absence under F&S-contiguous IOVAs emerge from the indexing.
 type setAssoc struct {
-	sets []*lru
-	ways int
+	sets []lru
 }
 
 func newSetAssoc(nsets, ways int) *setAssoc {
@@ -133,14 +125,14 @@ func newSetAssoc(nsets, ways int) *setAssoc {
 	for n < nsets {
 		n <<= 1
 	}
-	s := &setAssoc{sets: make([]*lru, n), ways: ways}
+	s := &setAssoc{sets: make([]lru, n)}
 	for i := range s.sets {
-		s.sets[i] = newLRU(ways)
+		s.sets[i].init(ways)
 	}
 	return s
 }
 
-func (s *setAssoc) set(key uint64) *lru { return s.sets[key&uint64(len(s.sets)-1)] }
+func (s *setAssoc) set(key uint64) *lru { return &s.sets[key&uint64(len(s.sets)-1)] }
 
 func (s *setAssoc) get(key uint64) (uint64, bool) { return s.set(key).get(key) }
 func (s *setAssoc) put(key, val uint64)           { s.set(key).put(key, val) }
@@ -148,8 +140,15 @@ func (s *setAssoc) invalidate(key uint64) bool    { return s.set(key).invalidate
 
 func (s *setAssoc) len() int {
 	n := 0
-	for _, set := range s.sets {
-		n += set.len()
+	for i := range s.sets {
+		n += s.sets[i].len()
 	}
 	return n
+}
+
+// reset empties every set in place.
+func (s *setAssoc) reset() {
+	for i := range s.sets {
+		s.sets[i].reset()
+	}
 }

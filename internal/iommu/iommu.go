@@ -105,25 +105,49 @@ type Translation struct {
 // use each other's translations.
 type DomainID uint32
 
+// add accumulates o into c field by field.
+func (c *Counters) add(o *Counters) {
+	c.Translations += o.Translations
+	c.IOTLBHits += o.IOTLBHits
+	c.IOTLBMisses += o.IOTLBMisses
+	c.Walks += o.Walks
+	c.MemReads += o.MemReads
+	c.L3Misses += o.L3Misses
+	c.L2Misses += o.L2Misses
+	c.L1Misses += o.L1Misses
+	c.Faults += o.Faults
+	c.StaleIOTLBUses += o.StaleIOTLBUses
+	c.StalePTUses += o.StalePTUses
+	c.InvRequests += o.InvRequests
+	c.IOTLBInvalidated += o.IOTLBInvalidated
+	c.PTInvalidated += o.PTInvalidated
+	c.ATSRequests += o.ATSRequests
+	c.ATCInvRequests += o.ATCInvRequests
+	c.ATCInvalidated += o.ATCInvalidated
+	c.CapChecks += o.CapChecks
+	c.CapRevocations += o.CapRevocations
+	c.CapDenied += o.CapDenied
+}
+
+// domain is one protection domain's slab: its page table, its optional
+// capability table, and the counters its device's operations charge.
+type domain struct {
+	table *ptable.Table
+	// cap routes a capability domain's translations: when set, its DMAs
+	// validate against it and never touch the caches or walkers. Grants
+	// are driver state — ResetCounters keeps them.
+	cap *CapTable
+	c   Counters
+}
+
 // IOMMU couples the shared translation caches with per-domain IO page
 // tables.
 type IOMMU struct {
-	cfg     Config
-	tables  map[DomainID]*ptable.Table
-	nextDom DomainID
-	iotlb   *setAssoc
-	l1      *lru // (domain, L1Key) -> PT-L2 page id
-	l2      *lru // (domain, L2Key) -> PT-L3 page id
-	l3      *lru // (domain, L3Key) -> PT-L4 page id
-	c       Counters
-	// perDom shadows c per originating domain, the breakdown the
-	// device layer reports. Every counter increment lands in both, so
-	// summing CountersOf over Domains always reproduces Counters.
-	perDom map[DomainID]*Counters
-	// capTables routes capability domains' translations: when a domain
-	// has one, its DMAs validate against it and never touch the caches
-	// or walkers. Grants are driver state — ResetCounters keeps them.
-	capTables map[DomainID]*CapTable
+	doms  []*domain // indexed by DomainID; ids are dense from 0
+	iotlb *setAssoc
+	l1    *lru // (domain, L1Key) -> PT-L2 page id
+	l2    *lru // (domain, L2Key) -> PT-L3 page id
+	l3    *lru // (domain, L3Key) -> PT-L4 page id
 	// audit, when set, observes every completed translation after the
 	// counters are charged. The hook must not mutate IOMMU or table
 	// state — it is a ground-truth check, not part of the pipeline.
@@ -141,39 +165,55 @@ func (m *IOMMU) SetAuditHook(fn func(DomainID, ptable.IOVA, Translation)) {
 func New(cfg Config) *IOMMU {
 	cfg = cfg.withDefaults()
 	m := &IOMMU{
-		cfg:    cfg,
-		tables: map[DomainID]*ptable.Table{0: ptable.New()},
-		iotlb:  newSetAssoc(cfg.IOTLBSets, cfg.IOTLBWays),
-		l1:     newLRU(cfg.L1Size),
-		l2:     newLRU(cfg.L2Size),
-		l3:     newLRU(cfg.L3Size),
+		iotlb: newSetAssoc(cfg.IOTLBSets, cfg.IOTLBWays),
+		l1:    newLRU(cfg.L1Size),
+		l2:    newLRU(cfg.L2Size),
+		l3:    newLRU(cfg.L3Size),
 	}
-	m.nextDom = 1
+	m.CreateDomain()
 	return m
 }
 
 // CreateDomain allocates a fresh protection domain with its own IO page
 // table (one per device, as the kernel does for non-virtualised hosts).
 func (m *IOMMU) CreateDomain() DomainID {
-	id := m.nextDom
-	m.nextDom++
-	m.tables[id] = ptable.New()
-	return id
+	m.doms = append(m.doms, &domain{table: ptable.New()})
+	return DomainID(len(m.doms) - 1)
+}
+
+// dom returns domain d's slab, nil for an unknown id.
+func (m *IOMMU) dom(d DomainID) *domain {
+	if int(d) < len(m.doms) {
+		return m.doms[d]
+	}
+	return nil
 }
 
 // TableOf exposes a domain's IO page table.
-func (m *IOMMU) TableOf(d DomainID) *ptable.Table { return m.tables[d] }
+func (m *IOMMU) TableOf(d DomainID) *ptable.Table {
+	if dom := m.dom(d); dom != nil {
+		return dom.table
+	}
+	return nil
+}
 
 // Table exposes the default domain's page table.
-func (m *IOMMU) Table() *ptable.Table { return m.tables[0] }
+func (m *IOMMU) Table() *ptable.Table { return m.doms[0].table }
 
 // domKey namespaces a cache key by domain: every key fits in 44 bits
 // (page numbers are at most 2^36), leaving the domain tag and the
 // huge-entry bit disjoint.
 func domKey(d DomainID, key uint64) uint64 { return uint64(d)<<44 | key }
 
-// Counters returns a snapshot of the hardware counters.
-func (m *IOMMU) Counters() Counters { return m.c }
+// Counters returns a snapshot of the hardware counters: the sum of every
+// domain's counters, since each increment lands in the acting domain.
+func (m *IOMMU) Counters() Counters {
+	var sum Counters
+	for _, dom := range m.doms {
+		sum.add(&dom.c)
+	}
+	return sum
+}
 
 // CountersOf returns the slice of the hardware counters attributable to
 // domain d: the translations, walks, reads, invalidations and safety
@@ -181,8 +221,8 @@ func (m *IOMMU) Counters() Counters { return m.c }
 // Counters exactly (the device layer's per-device breakdown relies on
 // this; internal/iommu's property tests enforce it).
 func (m *IOMMU) CountersOf(d DomainID) Counters {
-	if c, ok := m.perDom[d]; ok {
-		return *c
+	if dom := m.dom(d); dom != nil {
+		return dom.c
 	}
 	return Counters{}
 }
@@ -190,62 +230,18 @@ func (m *IOMMU) CountersOf(d DomainID) Counters {
 // Domains lists the existing domain ids in ascending order (domain 0,
 // the default, is always present).
 func (m *IOMMU) Domains() []DomainID {
-	out := make([]DomainID, 0, len(m.tables))
-	for d := DomainID(0); d < m.nextDom; d++ {
-		if _, ok := m.tables[d]; ok {
-			out = append(out, d)
-		}
+	out := make([]DomainID, len(m.doms))
+	for i := range out {
+		out[i] = DomainID(i)
 	}
 	return out
 }
 
 // ResetCounters zeroes the counters (e.g. after warmup).
 func (m *IOMMU) ResetCounters() {
-	m.c = Counters{}
-	m.perDom = nil
-}
-
-// domCounters returns domain d's counter slab, creating it on first use.
-func (m *IOMMU) domCounters(d DomainID) *Counters {
-	if m.perDom == nil {
-		m.perDom = make(map[DomainID]*Counters)
+	for _, dom := range m.doms {
+		dom.c = Counters{}
 	}
-	c, ok := m.perDom[d]
-	if !ok {
-		c = &Counters{}
-		m.perDom[d] = c
-	}
-	return c
-}
-
-// chargeDomain attributes every global-counter increment since before to
-// domain d. Wrapping each domain-scoped operation this way keeps the
-// per-domain breakdown exactly consistent with the global counters
-// without duplicating the counting sites.
-func (m *IOMMU) chargeDomain(d DomainID, before Counters) {
-	dc := m.domCounters(d)
-	after := m.c
-	dc.Translations += after.Translations - before.Translations
-	dc.IOTLBHits += after.IOTLBHits - before.IOTLBHits
-	dc.IOTLBMisses += after.IOTLBMisses - before.IOTLBMisses
-	dc.Walks += after.Walks - before.Walks
-	dc.MemReads += after.MemReads - before.MemReads
-	dc.L3Misses += after.L3Misses - before.L3Misses
-	dc.L2Misses += after.L2Misses - before.L2Misses
-	dc.L1Misses += after.L1Misses - before.L1Misses
-	dc.Faults += after.Faults - before.Faults
-	dc.StaleIOTLBUses += after.StaleIOTLBUses - before.StaleIOTLBUses
-	dc.StalePTUses += after.StalePTUses - before.StalePTUses
-	dc.InvRequests += after.InvRequests - before.InvRequests
-	dc.IOTLBInvalidated += after.IOTLBInvalidated - before.IOTLBInvalidated
-	dc.PTInvalidated += after.PTInvalidated - before.PTInvalidated
-	dc.ATSRequests += after.ATSRequests - before.ATSRequests
-	dc.ATCInvRequests += after.ATCInvRequests - before.ATCInvRequests
-	dc.ATCInvalidated += after.ATCInvalidated - before.ATCInvalidated
-	dc.CapChecks += after.CapChecks - before.CapChecks
-	dc.CapDenied += after.CapDenied - before.CapDenied
-	// CapRevocations is charged directly at the grant/revoke sites (they
-	// are driver-initiated, not translation-pipeline events).
 }
 
 // ChargeATSRequest accounts one ATS translation request from domain d's
@@ -253,18 +249,15 @@ func (m *IOMMU) chargeDomain(d DomainID, before Counters) {
 // itself is charged here; the walk it triggers is charged by TranslateIn
 // as usual.
 func (m *IOMMU) ChargeATSRequest(d DomainID) {
-	m.c.ATSRequests++
-	m.domCounters(d).ATSRequests++
+	m.doms[d].c.ATSRequests++
 }
 
 // ChargeATCInvalidation accounts one ATC-invalidate message sent to
 // domain d's device, which removed `dropped` device-TLB entries.
 func (m *IOMMU) ChargeATCInvalidation(d DomainID, dropped int64) {
-	m.c.ATCInvRequests++
-	m.c.ATCInvalidated += dropped
-	dc := m.domCounters(d)
-	dc.ATCInvRequests++
-	dc.ATCInvalidated += dropped
+	c := &m.doms[d].c
+	c.ATCInvRequests++
+	c.ATCInvalidated += dropped
 }
 
 // iotlbVal packs a physical page frame into the cache value. The low bit
@@ -286,9 +279,7 @@ func (m *IOMMU) Translate(v ptable.IOVA) Translation { return m.TranslateIn(0, v
 // that first probes the three page-table caches (in parallel) and starts
 // the walk at the deepest level that hits.
 func (m *IOMMU) TranslateIn(d DomainID, v ptable.IOVA) Translation {
-	before := m.c
 	t := m.translateIn(d, v)
-	m.chargeDomain(d, before)
 	if m.audit != nil {
 		m.audit(d, v, t)
 	}
@@ -298,36 +289,37 @@ func (m *IOMMU) TranslateIn(d DomainID, v ptable.IOVA) Translation {
 func (m *IOMMU) translateIn(d DomainID, v ptable.IOVA) Translation {
 	// Capability domains bypass the walk pipeline entirely: one O(1)
 	// table check, no cache state, no memory reads.
-	if ct := m.capTables[d]; ct != nil {
-		return ct.check(v)
+	dom := m.doms[d]
+	if dom.cap != nil {
+		return dom.cap.check(v)
 	}
-	table := m.tables[d]
-	m.c.Translations++
+	table, c := dom.table, &dom.c
+	c.Translations++
 	pn := domKey(d, v.PageNumber())
 	if val, ok := m.iotlb.get(pn); ok {
-		m.c.IOTLBHits++
+		c.IOTLBHits++
 		t := Translation{Phys: ptable.Phys(val), OK: true, IOTLBHit: true}
 		// A hit for an unmapped IOVA means the device retained access
 		// after unmap — the deferred-mode safety hole.
 		if !table.Mapped(v) {
-			m.c.StaleIOTLBUses++
+			c.StaleIOTLBUses++
 			t.Stale = true
 		}
 		return t
 	}
 	if val, ok := m.iotlb.get(domKey(d, hugeKey(v))); ok {
 		// A 2MB IOTLB entry covers this address.
-		m.c.IOTLBHits++
+		c.IOTLBHits++
 		phys := ptable.Phys(val + uint64(v)%ptable.HugeSize)
 		t := Translation{Phys: phys, OK: true, IOTLBHit: true}
 		if !table.HugeMapped(v) {
-			m.c.StaleIOTLBUses++
+			c.StaleIOTLBUses++
 			t.Stale = true
 		}
 		return t
 	}
-	m.c.IOTLBMisses++
-	m.c.Walks++
+	c.IOTLBMisses++
+	c.Walks++
 
 	// Huge-leaf walk: the PT-L3 entry is the leaf, so PTcache-L3 is not
 	// involved — best case (PTcache-L2 hit) is one read of the leaf.
@@ -340,13 +332,13 @@ func (m *IOMMU) translateIn(d DomainID, v ptable.IOVA) Translation {
 			reads = 1
 		case l1hit:
 			reads = 2
-			m.c.L2Misses++
+			c.L2Misses++
 		default:
 			reads = 3
-			m.c.L2Misses++
-			m.c.L1Misses++
+			c.L2Misses++
+			c.L1Misses++
 		}
-		m.c.MemReads += int64(reads)
+		c.MemReads += int64(reads)
 		m.l1.put(domKey(d, v.L1Key()), w.PageID[1])
 		m.l2.put(domKey(d, v.L2Key()), w.PageID[2])
 		m.iotlb.put(domKey(d, hugeKey(v)), uint64(w.Phys)-uint64(v)%ptable.HugeSize)
@@ -365,31 +357,31 @@ func (m *IOMMU) translateIn(d DomainID, v ptable.IOVA) Translation {
 		reads = 1 // read the PT-L4 entry only
 	case l2hit:
 		reads = 2 // PT-L4 page address from PT-L3, then PT-L4
-		m.c.L3Misses++
+		c.L3Misses++
 	case l1hit:
 		reads = 3
-		m.c.L3Misses++
-		m.c.L2Misses++
+		c.L3Misses++
+		c.L2Misses++
 	default:
 		reads = 4
-		m.c.L3Misses++
-		m.c.L2Misses++
-		m.c.L1Misses++
+		c.L3Misses++
+		c.L2Misses++
+		c.L1Misses++
 	}
 	// Per the paper's accounting (§2.2), an upper-level miss is only
 	// counted when every deeper level also missed — the switch above
 	// already encodes that.
-	m.c.MemReads += int64(reads)
+	c.MemReads += int64(reads)
 
 	w, mapped := table.Lookup(v)
 	if !mapped {
 		// Hardware would take a DMA remapping fault. If a stale PTcache
 		// entry was consulted, account the unsafe read of freed memory.
-		m.checkStalePT(table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, ptable.Walk{})
-		m.c.Faults++
+		checkStalePT(c, table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, ptable.Walk{})
+		c.Faults++
 		return Translation{OK: false, MemReads: reads}
 	}
-	m.checkStalePT(table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, w)
+	checkStalePT(c, table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, w)
 
 	// Fill caches with the walk results.
 	m.l1.put(domKey(d, v.L1Key()), w.PageID[1])
@@ -403,19 +395,19 @@ func (m *IOMMU) translateIn(d DomainID, v ptable.IOVA) Translation {
 // longer on v's translation path (reclaimed or replaced). Any such use is
 // a memory-safety violation in real hardware; every protection mode in
 // this repository must keep this counter at zero.
-func (m *IOMMU) checkStalePT(table *ptable.Table, v ptable.IOVA, l3hit bool, l3id uint64, l2hit bool, l2id uint64, l1hit bool, l1id uint64, w ptable.Walk) {
+func checkStalePT(c *Counters, table *ptable.Table, v ptable.IOVA, l3hit bool, l3id uint64, l2hit bool, l2id uint64, l1hit bool, l1id uint64, w ptable.Walk) {
 	ids := w.PageID
 	if ids == (ptable.Walk{}).PageID {
 		ids = table.PageIDs(v)
 	}
 	if l1hit && l1id != ids[1] {
-		m.c.StalePTUses++
+		c.StalePTUses++
 	}
 	if l2hit && l2id != ids[2] {
-		m.c.StalePTUses++
+		c.StalePTUses++
 	}
 	if l3hit && l3id != ids[3] {
-		m.c.StalePTUses++
+		c.StalePTUses++
 	}
 }
 
@@ -432,32 +424,34 @@ func (m *IOMMU) Invalidate(base ptable.IOVA, pages int, iotlbOnly bool) {
 // InvalidateIn is Invalidate scoped to domain d: only d's cache entries
 // are affected (VT-d invalidations carry the domain id).
 func (m *IOMMU) InvalidateIn(d DomainID, base ptable.IOVA, pages int, iotlbOnly bool) {
-	before := m.c
-	defer func() { m.chargeDomain(d, before) }()
-	m.c.InvRequests++
+	c := &m.doms[d].c
+	c.InvRequests++
 	for i := 0; i < pages; i++ {
 		v := base + ptable.IOVA(i*ptable.PageSize)
 		if m.iotlb.invalidate(domKey(d, v.PageNumber())) {
-			m.c.IOTLBInvalidated++
+			c.IOTLBInvalidated++
 		}
-		// Also drop any 2MB entry covering this address (once per span:
-		// at the range start and at each 2MB boundary).
-		if i == 0 || v.L4Index() == 0 {
-			if m.iotlb.invalidate(domKey(d, hugeKey(v))) {
-				m.c.IOTLBInvalidated++
-			}
+		// The 2MB IOTLB key and the PTcache-L1/L2/L3 keys change only
+		// where a 2MB span starts, so drop those entries once per span: at
+		// the range start and at each 2MB boundary. Repeating them for
+		// every page would find nothing left to drop.
+		if i != 0 && v.L4Index() != 0 {
+			continue
+		}
+		if m.iotlb.invalidate(domKey(d, hugeKey(v))) {
+			c.IOTLBInvalidated++
 		}
 		if iotlbOnly {
 			continue
 		}
 		if m.l3.invalidate(domKey(d, v.L3Key())) {
-			m.c.PTInvalidated++
+			c.PTInvalidated++
 		}
 		if m.l2.invalidate(domKey(d, v.L2Key())) {
-			m.c.PTInvalidated++
+			c.PTInvalidated++
 		}
 		if m.l1.invalidate(domKey(d, v.L1Key())) {
-			m.c.PTInvalidated++
+			c.PTInvalidated++
 		}
 	}
 }
@@ -473,21 +467,20 @@ func (m *IOMMU) InvalidateReclaimed(reclaimed []ptable.ReclaimedPage) {
 // InvalidateReclaimedIn drops domain d's PTcache entries pointing at
 // reclaimed page-table pages.
 func (m *IOMMU) InvalidateReclaimedIn(d DomainID, reclaimed []ptable.ReclaimedPage) {
-	before := m.c
-	defer func() { m.chargeDomain(d, before) }()
+	c := &m.doms[d].c
 	for _, r := range reclaimed {
 		switch r.Level {
 		case 4: // a PT-L4 page is pointed to by a PTcache-L3 entry
 			if m.l3.invalidate(domKey(d, r.Key)) {
-				m.c.PTInvalidated++
+				c.PTInvalidated++
 			}
 		case 3:
 			if m.l2.invalidate(domKey(d, r.Key)) {
-				m.c.PTInvalidated++
+				c.PTInvalidated++
 			}
 		case 2:
 			if m.l1.invalidate(domKey(d, r.Key)) {
-				m.c.PTInvalidated++
+				c.PTInvalidated++
 			}
 		}
 	}
@@ -496,11 +489,10 @@ func (m *IOMMU) InvalidateReclaimedIn(d DomainID, reclaimed []ptable.ReclaimedPa
 // FlushAll empties every cache (global invalidation, used at domain
 // teardown and by tests).
 func (m *IOMMU) FlushAll() {
-	cfg := m.cfg
-	m.iotlb = newSetAssoc(cfg.IOTLBSets, cfg.IOTLBWays)
-	m.l1 = newLRU(cfg.L1Size)
-	m.l2 = newLRU(cfg.L2Size)
-	m.l3 = newLRU(cfg.L3Size)
+	m.iotlb.reset()
+	m.l1.reset()
+	m.l2.reset()
+	m.l3.reset()
 }
 
 // CacheOccupancy reports live entries per cache: IOTLB, L1, L2, L3.

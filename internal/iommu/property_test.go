@@ -127,34 +127,85 @@ func TestPropertyCrossDomainNoLeak(t *testing.T) {
 	}
 }
 
-// Two device domains interleave map/unmap/translate over the shared
-// hardware. Two properties the device layer depends on:
+// Two device domains and one capability domain interleave every
+// domain-scoped operation over the shared hardware: map/unmap under the
+// strict, F&S and deferred unmap paths, a whole-span unmap that reclaims
+// a page-table page (with and without the F&S reclaim hook),
+// translation, capability grant,
+// revoke and check, and the ATS charges, with an occasional
+// ResetCounters. The properties the device layer depends on:
 //
-//  1. No cross-domain leakage (re-checked here under the F&S unmap path,
-//     which TestPropertyCrossDomainNoLeak does not exercise).
-//  2. Per-domain attribution is exact: summing CountersOf over Domains
-//     reproduces Counters field-for-field. host/results.go derives the
-//     per-device breakdown from CountersOf, so drift here would silently
-//     misreport device interference.
+//  1. No cross-domain leakage or silent mistranslation (re-checked here
+//     under the F&S and deferred unmap paths, which
+//     TestPropertyCrossDomainNoLeak does not exercise).
+//  2. Per-domain attribution is exact: an operation scoped to domain d
+//     leaves CountersOf(e) unchanged for every e != d. host/results.go
+//     derives the per-device breakdown from CountersOf, so a counter
+//     charged to the wrong domain would silently misreport device
+//     interference.
+//  3. Summing CountersOf over Domains reproduces Counters field for field,
+//     every field is exercised (non-zero at some point), and
+//     ResetCounters zeroes the counters but keeps the capability grants.
 //
 // FlushAll is deliberately absent: a global flush belongs to no single
-// domain, so the sum property only holds for the domain-scoped entry
-// points (Strict/F&S-style operation — the modes the breakdown targets).
+// domain, so attribution only holds for the domain-scoped entry points.
 func TestPropertyPerDomainCountersSumToGlobal(t *testing.T) {
 	const pages = 32
+	fields := reflect.TypeOf(Counters{}).NumField()
+	seen := make([]bool, fields)
+	markSeen := func(c Counters) {
+		cv := reflect.ValueOf(c)
+		for i := range seen {
+			seen[i] = seen[i] || cv.Field(i).Int() != 0
+		}
+	}
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := New(Config{IOTLBSets: 2, IOTLBWays: 2, L1Size: 2, L2Size: 2, L3Size: 2})
 		doms := []DomainID{m.CreateDomain(), m.CreateDomain()}
+		capDom := m.CreateDomain()
+		ct := m.AttachCapTable(capDom)
+		grants := map[ptable.IOVA]ptable.Phys{}
 		shadow := map[DomainID]map[ptable.IOVA]ptable.Phys{doms[0]: {}, doms[1]: {}}
+		// deferred holds IOVAs unmapped without any invalidation, whose
+		// stale IOTLB hits are expected; they are not remapped until a
+		// flush invalidates them.
+		deferred := map[DomainID]map[ptable.IOVA]bool{doms[0]: {}, doms[1]: {}}
+		// spanMapped tracks the second 2MB span, mapped and unmapped
+		// whole so that its PT-L4 page is reclaimed.
+		spanMapped := map[DomainID]bool{}
 		nextPhys := ptable.Phys(1 << 28)
+		snapshot := func() []Counters {
+			var out []Counters
+			for _, d := range m.Domains() {
+				out = append(out, m.CountersOf(d))
+			}
+			return out
+		}
 
 		for op := 0; op < 5000; op++ {
 			d := doms[rng.Intn(2)]
 			v := ptable.IOVA(uint64(rng.Intn(pages)) * ptable.PageSize)
-			switch rng.Intn(5) {
+			if rng.Intn(500) == 0 {
+				markSeen(m.Counters())
+				m.ResetCounters()
+				if c := m.Counters(); c != (Counters{}) {
+					t.Fatalf("seed %d op %d: counters after reset: %+v", seed, op, c)
+				}
+				if ct.Len() != len(grants) {
+					t.Fatalf("seed %d op %d: reset left %d grants, want %d", seed, op, ct.Len(), len(grants))
+				}
+				for g := range grants {
+					if !ct.Granted(g) {
+						t.Fatalf("seed %d op %d: reset dropped the grant for %v", seed, op, g)
+					}
+				}
+				continue
+			}
+			before := snapshot()
+			switch rng.Intn(10) {
 			case 0: // map
-				if _, live := shadow[d][v]; !live {
+				if _, live := shadow[d][v]; !live && !deferred[d][v] {
 					nextPhys += ptable.PageSize
 					if err := m.TableOf(d).Map(v, nextPhys); err != nil {
 						t.Fatal(err)
@@ -179,6 +230,73 @@ func TestPropertyPerDomainCountersSumToGlobal(t *testing.T) {
 					m.InvalidateReclaimedIn(d, res.Reclaimed)
 					delete(shadow[d], v)
 				}
+			case 3: // deferred unmap: stale IOTLB and PTcache entries remain
+				if _, live := shadow[d][v]; live {
+					if _, err := m.TableOf(d).Unmap(v, ptable.PageSize); err != nil {
+						t.Fatal(err)
+					}
+					delete(shadow[d], v)
+					deferred[d][v] = true
+				}
+			case 4: // flush the deferred unmaps with strict invalidations
+				for dv := range deferred[d] {
+					m.InvalidateIn(d, dv, 1, false)
+					delete(deferred[d], dv)
+				}
+			case 5: // capability grant, revoke or check
+				d = capDom
+				switch rng.Intn(3) {
+				case 0:
+					nextPhys += ptable.PageSize
+					ct.Grant(v, nextPhys)
+					grants[v] = nextPhys
+				case 1:
+					if ct.Revoke(v) != (grants[v] != 0) {
+						t.Fatalf("seed %d op %d: revoke of %v disagrees with the shadow", seed, op, v)
+					}
+					delete(grants, v)
+				default:
+					tr := m.TranslateIn(capDom, v)
+					if want, ok := grants[v]; tr.OK != ok || tr.Phys != want || !tr.Cap {
+						t.Fatalf("seed %d op %d: cap check of %v = %+v, grant %v", seed, op, v, tr, want)
+					}
+				}
+			case 6: // whole-span map, or unmap with reclamation
+				if rng.Intn(8) != 0 {
+					break
+				}
+				base := ptable.IOVA(ptable.L4PageSpan)
+				if !spanMapped[d] {
+					for i := 0; i < 512; i++ {
+						nextPhys += ptable.PageSize
+						if err := m.TableOf(d).Map(base+ptable.IOVA(i*ptable.PageSize), nextPhys); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if tr := m.TranslateIn(d, base); !tr.OK || tr.Stale {
+						t.Fatalf("seed %d op %d: span translation = %+v", seed, op, tr)
+					}
+					spanMapped[d] = true
+					break
+				}
+				res, err := m.TableOf(d).Unmap(base, ptable.L4PageSpan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.InvalidateIn(d, base, 512, true)
+				// Skipping the reclaim hook leaves a PTcache-L3 entry
+				// pointing at the freed page: the next walk of the span
+				// counts a stale use.
+				if rng.Intn(2) == 0 {
+					m.InvalidateReclaimedIn(d, res.Reclaimed)
+				}
+				spanMapped[d] = false
+			case 7: // ATS charges
+				if rng.Intn(2) == 0 {
+					m.ChargeATSRequest(d)
+				} else {
+					m.ChargeATCInvalidation(d, rng.Int63n(4))
+				}
 			default: // translate, checked against the shadow model
 				tr := m.TranslateIn(d, v)
 				want, live := shadow[d][v]
@@ -188,13 +306,23 @@ func TestPropertyPerDomainCountersSumToGlobal(t *testing.T) {
 						t.Fatalf("seed %d op %d: domain %d leaked/mistranslated %v", seed, op, d, v)
 					}
 				case tr.OK && tr.Stale:
-					t.Fatalf("seed %d op %d: stale hit despite invalidation", seed, op)
+					if !deferred[d][v] {
+						t.Fatalf("seed %d op %d: stale hit despite invalidation", seed, op)
+					}
 				default:
 					if live {
 						t.Fatalf("seed %d op %d: domain %d faulted on live mapping %v", seed, op, d, v)
 					}
 				}
 			}
+			after := snapshot()
+			for e := range after {
+				if DomainID(e) != d && after[e] != before[e] {
+					t.Fatalf("seed %d op %d: an op in domain %d changed domain %d's counters:\n  before: %+v\n  after:  %+v",
+						seed, op, d, e, before[e], after[e])
+				}
+			}
+			markSeen(m.Counters())
 		}
 
 		// The sum property, field-for-field via reflection so a counter
@@ -213,6 +341,11 @@ func TestPropertyPerDomainCountersSumToGlobal(t *testing.T) {
 		// The untouched default domain must have no charges.
 		if c := m.CountersOf(0); c != (Counters{}) {
 			t.Fatalf("seed %d: default domain charged without traffic: %+v", seed, c)
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Errorf("Counters.%s was never exercised", reflect.TypeOf(Counters{}).Field(i).Name)
 		}
 	}
 }
