@@ -44,7 +44,7 @@ type capPolicy struct {
 
 func (p capPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
 	pages := d.cfg.DescriptorPages
-	desc := &Descriptor{cpu: cpu}
+	desc := d.newDescriptor(cpu)
 	base, cost, err := d.allocIOVA(cpu, pages)
 	if err != nil {
 		return nil, 0, err
@@ -137,7 +137,7 @@ func (p capPolicy) remapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
 func (p capPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
 	// Chunked like FNS — per-CPU descriptor-sized IOVA chunks filled
 	// across packets — but each page's protection cost is the grant.
-	m := &TxMapping{cpu: cpu}
+	m := d.newTxMapping(cpu)
 	var cost sim.Duration
 	for i := 0; i < pages; i++ {
 		ch := d.txChunks[cpu]
@@ -147,7 +147,7 @@ func (p capPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, e
 				return nil, 0, err
 			}
 			cost += c
-			ch = &txChunk{base: base, pages: d.cfg.DescriptorPages}
+			ch = d.newTxChunk(base)
 			d.txChunks[cpu] = ch
 		}
 		v := ch.base + ptable.IOVA(ch.next*ptable.PageSize)
@@ -206,6 +206,7 @@ func (p capPolicy) unmapTx(d *Domain, m *TxMapping) (sim.Duration, error) {
 			if d.txChunks[m.cpu] == ch {
 				d.txChunks[m.cpu] = nil
 			}
+			d.releaseTxChunk(ch)
 		}
 		i = j
 	}

@@ -146,7 +146,15 @@ type Descriptor struct {
 	pol Policy
 }
 
-// TxMapping is a mapped Tx packet: one IOVA per page.
+// newDescriptor returns an empty descriptor for cpu with room for its
+// pages, so filling it takes one allocation, not one per doubling.
+func (d *Domain) newDescriptor(cpu int) *Descriptor {
+	return &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, d.cfg.DescriptorPages)}
+}
+
+// TxMapping is a mapped Tx packet: one IOVA per page. The domain
+// recycles mappings: UnmapTx puts one back on a free list, and a later
+// MapTx hands it out again.
 type TxMapping struct {
 	IOVAs []ptable.IOVA
 	cpu   int
@@ -154,6 +162,8 @@ type TxMapping struct {
 	chunks []*txChunk
 	// pol is the policy that mapped this packet (see Descriptor.pol).
 	pol Policy
+	// released is set by UnmapTx until MapTx reuses the mapping.
+	released bool
 }
 
 // txChunk is a per-CPU descriptor-sized IOVA chunk filled across Tx
@@ -203,6 +213,11 @@ type Domain struct {
 	txChunks []*txChunk   // per CPU
 	txPool   []*txPool    // per CPU, persistent mode
 	hugeRx   []*hugeChunk // per CPU, FNSHuge mode
+	// txFree and chunkFree recycle unmapped Tx mappings and fully
+	// released Tx chunks. They grow to the run's peak and are never
+	// pre-filled.
+	txFree    []*TxMapping
+	chunkFree []*txChunk
 
 	// deferred mode state
 	deferredPending []pendingFree

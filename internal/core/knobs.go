@@ -114,6 +114,7 @@ func (d *Domain) SetKnobs(k Knobs) (sim.Duration, error) {
 		ch.next = ch.pages
 		if ch.released == ch.pages {
 			extra += d.freeIOVA(d.txFreeCPU(cpu), ch.base, ch.pages)
+			d.releaseTxChunk(ch)
 		}
 		d.txChunks[cpu] = nil
 	}

@@ -17,6 +17,7 @@ import (
 	"fastsafe/internal/core"
 	"fastsafe/internal/fault"
 	"fastsafe/internal/iommu"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/sim"
 )
@@ -39,15 +40,56 @@ type Host interface {
 	// deterministic free-pool shuffles. Errors on a mode with no
 	// registered protection policy.
 	NewDomain(cfg core.Config, seedOffset int64) (*core.Domain, error)
-	// Exec schedules driver work on the host core cpu: work runs when
-	// the core drains to it and returns the CPU time to charge; done (if
-	// non-nil) runs after the work completes.
-	Exec(cpu int, work func() sim.Duration, done func())
+	// Post queues driver work on the host core cpu: it.Task.Run(&it)
+	// runs when the core drains to it and returns the CPU time to
+	// charge; it.Task.Done(&it) runs after that time has elapsed.
+	Post(cpu int, it Item)
 	// Faults returns the host's fault injector, nil when no fault plan
 	// is active. Devices derive their misbehaviour hooks from it
 	// (injector.Device(dom)); every derived hook is nil-safe, so devices
 	// need no further guards.
 	Faults() *fault.Injector
+}
+
+// Item is one unit of host-core work. Task says what to do; Pkt and M
+// carry its state from Run to Done, so Run may write results into them
+// (a new Tx mapping, the ACK a delivery produced) for Done to read.
+// Items travel by value through the core's work queue, which is why
+// this one is 48 bytes and the tests keep it there: each byte costs
+// heap in every queue slot of every core for the whole run.
+type Item struct {
+	Task Task
+	Pkt  packet.Packet
+	M    *core.TxMapping
+}
+
+// Task is the code of a work item, usually a long-lived object (a NIC,
+// an application) that dispatches on it.Pkt.Kind. Converting a pointer
+// to a Task does not allocate.
+type Task interface {
+	// Run does the work when the core reaches the item and returns the
+	// CPU time it takes.
+	Run(it *Item) sim.Duration
+	// Done runs once that time has elapsed.
+	Done(it *Item)
+}
+
+// FuncTask adapts a pair of funcs to a Task, for work posted rarely
+// enough that one allocation per item does not matter. Work returns
+// the CPU time; Then, if set, runs after it.
+type FuncTask struct {
+	Work func() sim.Duration
+	Then func()
+}
+
+// Run implements Task.
+func (f *FuncTask) Run(*Item) sim.Duration { return f.Work() }
+
+// Done implements Task.
+func (f *FuncTask) Done(*Item) {
+	if f.Then != nil {
+		f.Then()
+	}
 }
 
 // Device is one DMA device attached to a host.

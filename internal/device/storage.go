@@ -5,6 +5,7 @@ import (
 
 	"fastsafe/internal/core"
 	"fastsafe/internal/fault"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/ptable"
 	"fastsafe/internal/sim"
@@ -29,7 +30,20 @@ type Storage struct {
 	interval sim.Duration
 	blocks   int64
 	bytes    int64
+
+	// inflight holds the mappings of the block DMAs on link, which
+	// completes in submission order; dmaDoneFn is s.dmaDone bound once.
+	inflight  sim.FIFO[*core.TxMapping]
+	dmaDoneFn func()
+	issueFn   func()
 }
+
+// Storage's core work items: map a block and submit its DMA, or unmap
+// a completed one.
+const (
+	blockRead packet.Kind = iota + 1
+	blockUnmap
+)
 
 // StorageConfig configures one storage device. The host chooses CPU and
 // SeedOffset when it attaches the device.
@@ -50,10 +64,12 @@ func NewStorage(cfg StorageConfig) *Storage {
 	if cfg.Name == "" {
 		cfg.Name = "storage"
 	}
-	return &Storage{
+	s := &Storage{
 		cfg:      cfg,
 		interval: sim.Duration(float64(cfg.BlockBytes) / cfg.ReadGBps),
 	}
+	s.dmaDoneFn, s.issueFn = s.dmaDone, s.issue
+	return s
 }
 
 // Name implements Device.
@@ -93,45 +109,60 @@ func (s *Storage) Attach(h Host) error {
 
 // Start begins the periodic block stream.
 func (s *Storage) Start() {
-	s.h.Engine().After(s.interval, s.issue)
+	s.h.Engine().After(s.interval, s.issueFn)
 }
 
 // issue maps one block, translates and DMAs it, and unmaps on completion —
 // the storage driver's strict-safety datapath, sharing every IOMMU
 // structure with the other devices.
 func (s *Storage) issue() {
-	pages := (s.cfg.BlockBytes + 4095) / 4096
-	var m *core.TxMapping
-	s.h.Exec(s.cfg.CPU, func() sim.Duration {
-		tm, mc, err := s.dom.MapTx(0, pages)
+	s.h.Post(s.cfg.CPU, Item{Task: s, Pkt: packet.Packet{Kind: blockRead}})
+	s.h.Engine().After(s.interval, s.issueFn)
+}
+
+// Run implements Task: map a block, or unmap a completed one.
+func (s *Storage) Run(it *Item) sim.Duration {
+	if it.Pkt.Kind == blockUnmap {
+		cost, err := s.dom.UnmapTx(it.M)
 		if err != nil {
-			panic(fmt.Sprintf("device: storage MapTx: %v", err))
+			panic(fmt.Sprintf("device: storage UnmapTx: %v", err))
 		}
-		m = tm
-		return mc
-	}, func() {
-		reads := 0
-		if s.dom.Mode().Translated() {
-			s.faults.Observe(m.IOVAs[0])
-			for off := 0; off < s.cfg.BlockBytes; off += 512 {
-				page := off / 4096
-				v := m.IOVAs[page] + ptable.IOVA(off%4096)
-				tr := s.dom.Translate(v)
-				reads += tr.MemReads
-			}
-			reads += s.faults.MaybeMisbehave()
+		return cost
+	}
+	pages := (s.cfg.BlockBytes + 4095) / 4096
+	m, cost, err := s.dom.MapTx(0, pages)
+	if err != nil {
+		panic(fmt.Sprintf("device: storage MapTx: %v", err))
+	}
+	it.M = m
+	return cost
+}
+
+// Done implements Task: submit a mapped block's DMA.
+func (s *Storage) Done(it *Item) {
+	if it.Pkt.Kind == blockUnmap {
+		return
+	}
+	m := it.M
+	reads := 0
+	if s.dom.Mode().Translated() {
+		s.faults.Observe(m.IOVAs[0])
+		for off := 0; off < s.cfg.BlockBytes; off += 512 {
+			page := off / 4096
+			v := m.IOVAs[page] + ptable.IOVA(off%4096)
+			tr := s.dom.Translate(v)
+			reads += tr.MemReads
 		}
-		s.link.Submit(s.cfg.BlockBytes, reads, func() {
-			s.blocks++
-			s.bytes += int64(s.cfg.BlockBytes)
-			s.h.Exec(s.cfg.CPU, func() sim.Duration {
-				cost, err := s.dom.UnmapTx(m)
-				if err != nil {
-					panic(fmt.Sprintf("device: storage UnmapTx: %v", err))
-				}
-				return cost
-			}, nil)
-		})
-	})
-	s.h.Engine().After(s.interval, s.issue)
+		reads += s.faults.MaybeMisbehave()
+	}
+	s.inflight.Push(m)
+	s.link.Submit(s.cfg.BlockBytes, reads, s.dmaDoneFn)
+}
+
+// dmaDone completes the oldest block DMA and queues its unmap.
+func (s *Storage) dmaDone() {
+	m := s.inflight.Pop()
+	s.blocks++
+	s.bytes += int64(s.cfg.BlockBytes)
+	s.h.Post(s.cfg.CPU, Item{Task: s, Pkt: packet.Packet{Kind: blockUnmap}, M: m})
 }

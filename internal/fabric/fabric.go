@@ -21,9 +21,23 @@ package fabric
 import (
 	"fmt"
 
+	"fastsafe/internal/packet"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
 )
+
+// Sink receives packets at the far end of a link. The packet arrives
+// with the OR of every hop's ECN mark in its header.
+type Sink interface {
+	Arrive(pkt packet.Packet)
+}
+
+// FuncSink adapts a func that needs only the ECN mark into a Sink.
+// Converting a func to an interface does not allocate.
+type FuncSink func(ecn bool)
+
+// Arrive implements Sink.
+func (f FuncSink) Arrive(pkt packet.Packet) { f(pkt.ECN()) }
 
 // Link models one direction of a network path: a single-server
 // serialisation queue (the sender NIC egress / switch port) followed by
@@ -57,10 +71,11 @@ type Link struct {
 	arriveFn func()
 }
 
-// arrival is one packet in flight on a Link, waiting to be delivered.
+// arrival is one packet in flight on a Link and the sink it goes to.
+// The packet travels in the link's own queue: senders keep no copy.
 type arrival struct {
-	deliver func(ecn bool)
-	ecn     bool
+	pkt packet.Packet
+	to  Sink
 }
 
 // ecnTau is the backlog-averaging time constant.
@@ -115,18 +130,19 @@ func (w *Link) SendAt(bytes int) (at sim.Time, ecn bool) {
 	return w.busyUntil + w.prop, ecn
 }
 
-// Send serialises a packet onto the link; deliver fires at the far end
-// with the packet's ECN mark.
-func (w *Link) Send(bytes int, deliver func(ecn bool)) {
-	at, ecn := w.SendAt(bytes)
-	w.inflight.Push(arrival{deliver, ecn})
+// Send serialises pkt onto the link and hands it to to at the far end,
+// with this hop's ECN mark ORed into its header.
+func (w *Link) Send(pkt packet.Packet, to Sink) {
+	at, ecn := w.SendAt(int(pkt.Bytes))
+	pkt.MarkECN(ecn)
+	w.inflight.Push(arrival{pkt, to})
 	w.eng.At(at, w.arriveFn)
 }
 
 // arrive delivers the oldest packet in flight.
 func (w *Link) arrive() {
 	a := w.inflight.Pop()
-	a.deliver(a.ecn)
+	a.to.Arrive(a.pkt)
 }
 
 // Bytes returns the total bytes sent.
@@ -196,17 +212,28 @@ func (c Config) PerHopProp() sim.Duration {
 
 // Router posts cross-shard packet hops when the switch's ports live on
 // different engine shards. gen is the virtual time the hop was generated
-// at and at its delivery time; implementations must schedule fn at time
-// at on the engine owning the destination (sim.Shards.Post has exactly
-// this contract). The switch guarantees at >= gen + PerHopProp() for
-// every hop it routes.
+// at and at its delivery time; implementations must deliver h at time at
+// on the engine owning the destination and pass it to Switch.Forward
+// there (sim.Shards.Post has exactly this contract). The switch
+// guarantees at >= gen + PerHopProp() for every hop it routes.
 type Router interface {
-	// PostPort schedules fn in the shard owning port dst. src is the port
+	// PostPort carries h to the shard owning port dst. src is the port
 	// whose shard generated the hop, or CorePort when the hop leaves the
 	// shared core link.
-	PostPort(src, dst int, gen, at sim.Time, fn func())
-	// PostCore schedules fn in the shard owning the core link.
-	PostCore(src int, gen, at sim.Time, fn func())
+	PostPort(src, dst int, gen, at sim.Time, h Hop)
+	// PostCore carries h to the shard owning the core link.
+	PostCore(src int, gen, at sim.Time, h Hop)
+}
+
+// Hop is a packet between two stages of a sharded switch: the packet
+// with the marks of the hops it has taken, its final sink, and where it
+// goes next. Routers carry it opaquely. It is a value record, so
+// crossing shards allocates nothing.
+type Hop struct {
+	pkt    packet.Packet
+	to     Sink
+	dst    int32 // destination port
+	toCore bool  // the next stage is the shared core link
 }
 
 // CorePort is the pseudo port id routers see as the source of hops that
@@ -227,7 +254,16 @@ type Switch struct {
 	ports  []*Port
 	core   *Link  // shared core hop, nil when non-blocking
 	router Router // nil for the engine-confined (unsharded) fabric
+	// coreRoutes is routes for the core link (engine-confined only).
+	coreRoutes sim.FIFO[route]
 }
+
+// uplinkSink and coreSink are the sinks of an engine-confined switch's
+// uplinks and core link: they pop the packet's route and forward it.
+type (
+	uplinkSink Port
+	coreSink   Switch
+)
 
 // Port is one host's attachment point: an uplink into the switch and a
 // downlink out of it. The downlink is the congestion point under incast,
@@ -238,6 +274,16 @@ type Port struct {
 	id   int
 	up   *Link // host -> switch
 	down *Link // switch -> host
+	// routes holds the destination of each packet on the uplink of an
+	// engine-confined switch, in send order, which is the order the
+	// uplink delivers in.
+	routes sim.FIFO[route]
+}
+
+// route is where a packet goes after its current hop.
+type route struct {
+	to  Sink
+	dst int
 }
 
 // NewSwitch builds an engine-confined fabric with n ports.
@@ -310,15 +356,22 @@ func (p *Port) Downlink() *Link { return p.down }
 // Core returns the shared core link, or nil for a non-blocking fabric.
 func (s *Switch) Core() *Link { return s.core }
 
-// Send carries a packet from this port's host to dst's host: serialise
-// on the uplink, cross the (possibly oversubscribed) core, queue at the
-// destination's downlink port FIFO, then deliver with the OR of every
-// hop's ECN mark — switches propagate CE marks, they never clear them.
+// Send carries a bytes-long packet from this port's host to dst's host
+// and calls deliver with the OR of every hop's ECN mark. It is Transmit
+// for callers with no packet header of their own.
 func (p *Port) Send(dst int, bytes int, deliver func(ecn bool)) {
+	p.Transmit(dst, packet.Packet{Bytes: int32(bytes)}, FuncSink(deliver))
+}
+
+// Transmit carries pkt from this port's host to dst's host: serialise on
+// the uplink, cross the (possibly oversubscribed) core, queue at the
+// destination's downlink port FIFO, then hand it to to with the OR of
+// every hop's ECN mark — switches propagate CE marks, they never clear
+// them.
+func (p *Port) Transmit(dst int, pkt packet.Packet, to Sink) {
 	if dst < 0 || dst >= len(p.sw.ports) || dst == p.id {
 		panic(fmt.Sprintf("fabric: port %d sending to invalid port %d", p.id, dst))
 	}
-	out := p.sw.ports[dst]
 	if r := p.sw.router; r != nil {
 		// Sharded path: the uplink's serialisation outcome is computed
 		// synchronously (SendAt), so the hop into the next stage leaves as
@@ -326,38 +379,54 @@ func (p *Port) Send(dst int, bytes int, deliver func(ecn bool)) {
 		// future — the router's lookahead guarantee. Each subsequent stage
 		// runs on the engine owning its link.
 		gen := p.up.eng.Now()
-		upAt, ecnUp := p.up.SendAt(bytes)
-		if p.sw.core != nil {
-			r.PostCore(p.id, gen, upAt, func() {
-				coreAt, ecnCore := p.sw.core.SendAt(bytes)
-				r.PostPort(CorePort, dst, upAt, coreAt, func() {
-					out.down.Send(bytes, func(ecnDown bool) {
-						deliver(ecnUp || ecnCore || ecnDown)
-					})
-				})
-			})
+		upAt, ecnUp := p.up.SendAt(int(pkt.Bytes))
+		pkt.MarkECN(ecnUp)
+		h := Hop{pkt: pkt, to: to, dst: int32(dst), toCore: p.sw.core != nil}
+		if h.toCore {
+			r.PostCore(p.id, gen, upAt, h)
 			return
 		}
-		r.PostPort(p.id, dst, gen, upAt, func() {
-			out.down.Send(bytes, func(ecnDown bool) {
-				deliver(ecnUp || ecnDown)
-			})
-		})
+		r.PostPort(p.id, dst, gen, upAt, h)
 		return
 	}
-	p.up.Send(bytes, func(ecnUp bool) {
-		if core := p.sw.core; core != nil {
-			core.Send(bytes, func(ecnCore bool) {
-				out.down.Send(bytes, func(ecnDown bool) {
-					deliver(ecnUp || ecnCore || ecnDown)
-				})
-			})
-			return
-		}
-		out.down.Send(bytes, func(ecnDown bool) {
-			deliver(ecnUp || ecnDown)
-		})
-	})
+	p.routes.Push(route{to, dst})
+	p.up.Send(pkt, (*uplinkSink)(p))
+}
+
+// Forward runs a routed hop's next stage on the calling engine, which
+// must own that stage's link: the core link, or the destination port's
+// downlink.
+func (s *Switch) Forward(h Hop) {
+	if h.toCore {
+		gen := s.core.eng.Now()
+		coreAt, ecnCore := s.core.SendAt(int(h.pkt.Bytes))
+		h.pkt.MarkECN(ecnCore)
+		h.toCore = false
+		s.router.PostPort(CorePort, int(h.dst), gen, coreAt, h)
+		return
+	}
+	s.ports[h.dst].down.Send(h.pkt, h.to)
+}
+
+// Arrive forwards a packet off an engine-confined uplink to the core
+// link, or straight to the destination's downlink.
+func (u *uplinkSink) Arrive(pkt packet.Packet) {
+	p := (*Port)(u)
+	r := p.routes.Pop()
+	if core := p.sw.core; core != nil {
+		p.sw.coreRoutes.Push(r)
+		core.Send(pkt, (*coreSink)(p.sw))
+		return
+	}
+	p.sw.ports[r.dst].down.Send(pkt, r.to)
+}
+
+// Arrive forwards a packet off the engine-confined core link to the
+// destination's downlink.
+func (c *coreSink) Arrive(pkt packet.Packet) {
+	s := (*Switch)(c)
+	r := s.coreRoutes.Pop()
+	s.ports[r.dst].down.Send(pkt, r.to)
 }
 
 // RegisterProbes exposes every port's uplink/downlink counters (and the

@@ -3,9 +3,13 @@ package fabric
 import (
 	"testing"
 
+	"fastsafe/internal/packet"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
 )
+
+// bytes is a header-only packet of the given size.
+func bytes(n int) packet.Packet { return packet.Packet{Bytes: int32(n)} }
 
 // A link serialises back-to-back packets at its line rate: the second
 // delivery waits for the first's serialisation slot.
@@ -14,7 +18,7 @@ func TestLinkSerialises(t *testing.T) {
 	l := NewLink(eng, 100, 2*sim.Microsecond) // 100Gbps, 2us prop
 	var at []sim.Time
 	for i := 0; i < 3; i++ {
-		l.Send(4096, func(bool) { at = append(at, eng.Now()) })
+		l.Send(bytes(4096), FuncSink(func(bool) { at = append(at, eng.Now()) }))
 	}
 	eng.Run(sim.Time(1) * sim.Millisecond)
 	if len(at) != 3 {
@@ -45,7 +49,7 @@ func TestLinkECNMarksStandingQueue(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		i := i
 		eng.At(sim.Time(i)*sim.Microsecond, func() {
-			l.Send(4096, func(ecn bool) { marked = marked || ecn })
+			l.Send(bytes(4096), FuncSink(func(ecn bool) { marked = marked || ecn }))
 		})
 	}
 	eng.Run(sim.Time(10) * sim.Millisecond)
@@ -55,11 +59,11 @@ func TestLinkECNMarksStandingQueue(t *testing.T) {
 
 	idle := NewLink(eng, 100, 0)
 	idle.SetECN(8 << 10)
-	idle.Send(4096, func(ecn bool) {
+	idle.Send(bytes(4096), FuncSink(func(ecn bool) {
 		if ecn {
 			t.Fatal("idle link marked ECN")
 		}
-	})
+	}))
 	eng.Run(eng.Now() + sim.Time(1)*sim.Millisecond)
 	if idle.Marked() != 0 {
 		t.Fatalf("idle link marked %d packets", idle.Marked())
@@ -196,11 +200,19 @@ func TestPerHopProp(t *testing.T) {
 
 // directRouter posts every cross-shard hop onto one shared engine — the
 // degenerate single-shard topology, enough to drive the sharded Send
-// path end to end.
-type directRouter struct{ eng *sim.Engine }
+// path end to end. Each hop is a closure here; real routers carry the
+// Hop value itself.
+type directRouter struct {
+	eng *sim.Engine
+	sw  **Switch
+}
 
-func (r directRouter) PostPort(src, dst int, gen, at sim.Time, fn func()) { r.eng.At(at, fn) }
-func (r directRouter) PostCore(src int, gen, at sim.Time, fn func())      { r.eng.At(at, fn) }
+func (r directRouter) PostPort(src, dst int, gen, at sim.Time, h Hop) {
+	r.eng.At(at, func() { (*r.sw).Forward(h) })
+}
+func (r directRouter) PostCore(src int, gen, at sim.Time, h Hop) {
+	r.eng.At(at, func() { (*r.sw).Forward(h) })
+}
 
 func TestShardedSwitchRoutesHops(t *testing.T) {
 	if _, err := NewShardedSwitch(2, Config{}, nil, nil, nil); err == nil {
@@ -209,8 +221,9 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 
 	for _, oversub := range []float64{0, 2} {
 		eng := sim.NewEngine(1)
+		var sw *Switch
 		sw, err := NewShardedSwitch(4, Config{Oversub: oversub},
-			func(int) *sim.Engine { return eng }, eng, directRouter{eng})
+			func(int) *sim.Engine { return eng }, eng, directRouter{eng, &sw})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,22 +250,144 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 	}
 }
 
-// TestLinkSendAllocatesNothing pins the link's steady-state cost: with a
-// prebound deliver, sending a packet and delivering it allocates nothing.
-func TestLinkSendAllocatesNothing(t *testing.T) {
+// The packet header survives every hop, and the sink sees the OR of the
+// hops' marks: the downlink under incast marks, and a mark set before
+// the last hop is never cleared by it.
+func TestTransmitCarriesHeaderAndMarks(t *testing.T) {
+	for _, oversub := range []float64{0, 2} {
+		eng := sim.NewEngine(1)
+		sw, err := NewSwitch(eng, 4, Config{Oversub: oversub, ECNK: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []packet.Packet
+		sink := sinkFunc(func(p packet.Packet) { got = append(got, p) })
+		for src := 1; src < 4; src++ {
+			for i := 0; i < 64; i++ {
+				sw.Port(src).Transmit(0, packet.Packet{Bytes: 4096, Seq: int64(i), Flow: int32(src), Kind: 7}, sink)
+			}
+		}
+		eng.RunAll()
+		if len(got) != 3*64 {
+			t.Fatalf("oversub %g: %d packets delivered, want %d", oversub, len(got), 3*64)
+		}
+		marked, next := 0, map[int32]int64{}
+		for _, p := range got {
+			if p.Kind != 7 || p.Bytes != 4096 || p.Seq != next[p.Flow] {
+				t.Fatalf("oversub %g: header mangled or reordered: %+v", oversub, p)
+			}
+			next[p.Flow]++
+			if p.ECN() {
+				marked++
+			}
+		}
+		if marked == 0 {
+			t.Fatalf("oversub %g: incast delivered no marked packet", oversub)
+		}
+	}
+}
+
+type sinkFunc func(packet.Packet)
+
+func (f sinkFunc) Arrive(p packet.Packet) { f(p) }
+
+// TestLinkSendZeroAlloc pins the link's steady-state cost: sending a
+// packet to a sink and delivering it allocates nothing.
+func TestLinkSendZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine(1)
 	w := NewLink(eng, 100, 1000)
-	deliver := func(bool) {}
+	n := 0
+	sink := sinkFunc(func(packet.Packet) { n++ })
 	for i := 0; i < 8; i++ {
-		w.Send(4096, deliver)
+		w.Send(bytes(4096), sink)
 	}
 	eng.RunAll()
 	allocs := testing.AllocsPerRun(1000, func() {
-		w.Send(4096, deliver)
-		w.Send(64, deliver)
+		w.Send(bytes(4096), sink)
+		w.Send(bytes(64), sink)
 		eng.RunAll()
 	})
 	if allocs != 0 {
-		t.Fatalf("Send->deliver allocates %.2f times, want 0", allocs)
+		t.Fatalf("Send->arrive allocates %.2f times, want 0", allocs)
+	}
+}
+
+// TestPortSendZeroAlloc does the same for a whole switch traversal,
+// through the shared core and without it. Port.Send's func adapter is
+// allocation-free too.
+func TestPortSendZeroAlloc(t *testing.T) {
+	for _, oversub := range []float64{0, 2} {
+		eng := sim.NewEngine(1)
+		sw, err := NewSwitch(eng, 4, Config{Oversub: oversub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		sink := sinkFunc(func(packet.Packet) { n++ })
+		deliver := func(bool) { n++ }
+		for i := 0; i < 8; i++ {
+			sw.Port(1).Transmit(2, bytes(4096), sink)
+			sw.Port(3).Send(2, 4096, deliver)
+		}
+		eng.RunAll()
+		allocs := testing.AllocsPerRun(1000, func() {
+			sw.Port(1).Transmit(2, bytes(4096), sink)
+			sw.Port(3).Send(2, 4096, deliver)
+			eng.RunAll()
+		})
+		if allocs != 0 {
+			t.Fatalf("oversub %g: Port send->arrive allocates %.2f times, want 0", oversub, allocs)
+		}
+	}
+}
+
+// shardedRouter routes hops the way a sharded cluster does: each Hop is
+// copied into a value queue and forwarded by one prebound event, so the
+// router itself allocates nothing once warm.
+type shardedRouter struct {
+	eng    *sim.Engine
+	sw     *Switch
+	q      sim.FIFO[Hop]
+	fireFn func()
+}
+
+func (r *shardedRouter) PostPort(src, dst int, gen, at sim.Time, h Hop) { r.post(at, h) }
+func (r *shardedRouter) PostCore(src int, gen, at sim.Time, h Hop)      { r.post(at, h) }
+
+// post queues h for time at. Every hop in these tests leaves one stage
+// a fixed propagation after the previous stage, so hops fire in post
+// order and one FIFO serves.
+func (r *shardedRouter) post(at sim.Time, h Hop) {
+	r.q.Push(h)
+	r.eng.At(at, r.fireFn)
+}
+
+func TestShardedPortSendZeroAlloc(t *testing.T) {
+	for _, oversub := range []float64{0, 2} {
+		eng := sim.NewEngine(1)
+		r := &shardedRouter{eng: eng}
+		r.fireFn = func() { r.sw.Forward(r.q.Pop()) }
+		sw, err := NewShardedSwitch(4, Config{Oversub: oversub},
+			func(int) *sim.Engine { return eng }, eng, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.sw = sw
+		n := 0
+		sink := sinkFunc(func(packet.Packet) { n++ })
+		for i := 0; i < 8; i++ {
+			sw.Port(1).Transmit(2, bytes(4096), sink)
+			eng.RunAll()
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			sw.Port(1).Transmit(2, bytes(4096), sink)
+			eng.RunAll()
+		})
+		if allocs != 0 {
+			t.Fatalf("oversub %g: sharded Port send->arrive allocates %.2f times, want 0", oversub, allocs)
+		}
+		if n != 8+1001 {
+			t.Fatalf("oversub %g: %d packets delivered, want %d", oversub, n, 8+1001)
+		}
 	}
 }

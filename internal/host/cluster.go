@@ -137,8 +137,25 @@ type Cluster struct {
 	reg   *stats.Registry
 
 	// Sharded-mode state, nil/empty when Shards == 1.
-	shards  *sim.Shards
+	shards  *sim.Shards[shardMsg]
 	shardOf []int // host ID -> owning shard
+}
+
+// shardMsg is one cross-shard message: a fabric hop, or a Tx credit to
+// a sending host when credit is set.
+type shardMsg struct {
+	hop    fabric.Hop
+	credit *netDev
+	bytes  int64
+}
+
+// receive handles a cross-shard message on its destination shard.
+func (c *Cluster) receive(m shardMsg) {
+	if m.credit != nil {
+		m.credit.c.txDeliveredBytes += m.bytes
+		return
+	}
+	c.sw.Forward(m.hop)
 }
 
 // clusterRouter carries cross-shard fabric hops: port i belongs to host
@@ -152,12 +169,12 @@ func (r clusterRouter) shardOfPort(p int) int {
 	return r.c.shardOf[p]
 }
 
-func (r clusterRouter) PostPort(src, dst int, gen, at sim.Time, fn func()) {
-	r.c.shards.Post(r.shardOfPort(src), r.c.shardOf[dst], gen, at, fn)
+func (r clusterRouter) PostPort(src, dst int, gen, at sim.Time, h fabric.Hop) {
+	r.c.shards.Post(r.shardOfPort(src), r.c.shardOf[dst], gen, at, shardMsg{hop: h})
 }
 
-func (r clusterRouter) PostCore(src int, gen, at sim.Time, fn func()) {
-	r.c.shards.Post(r.shardOfPort(src), 0, gen, at, fn)
+func (r clusterRouter) PostCore(src int, gen, at sim.Time, h fabric.Hop) {
+	r.c.shards.Post(r.shardOfPort(src), 0, gen, at, shardMsg{hop: h})
 }
 
 // NewCluster builds the hosts, the switch, and the peer flows the
@@ -216,7 +233,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if la <= 0 {
 			return nil, fmt.Errorf("host: sharded cluster needs positive fabric propagation, got per-hop %v", la)
 		}
-		c.shards = sim.NewShards(cfg.Shards, base.Seed, la)
+		c.shards = sim.NewShards(cfg.Shards, base.Seed, la, c.receive)
 		c.eng = c.shards.Engine(0)
 		c.shardOf = make([]int, cfg.Hosts)
 		for i := range c.shardOf {
@@ -257,14 +274,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		if c.shards != nil {
 			id := i
-			h.shardPost = func(dst *Host, fn func()) {
-				s, d := c.shardOf[id], c.shardOf[dst.cfg.HostID]
+			h.creditTx = func(dst *netDev, bytes int64) {
+				s, d := c.shardOf[id], c.shardOf[dst.h.cfg.HostID]
 				if s == d {
-					fn()
+					dst.c.txDeliveredBytes += bytes
 					return
 				}
 				now := c.shards.Engine(s).Now()
-				c.shards.Post(s, d, now, now, fn)
+				c.shards.Post(s, d, now, now, shardMsg{credit: dst, bytes: bytes})
 			}
 		}
 		c.hosts = append(c.hosts, h)

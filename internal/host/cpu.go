@@ -1,28 +1,24 @@
 package host
 
 import (
+	"fastsafe/internal/device"
 	"fastsafe/internal/fabric"
 	"fastsafe/internal/sim"
 )
 
 // Core models one CPU core as a serialised work queue: driver and network
-// stack work items execute FIFO, each consuming the CPU time its work
-// function reports. Per-core utilisation feeds the CPU-bottleneck analysis
-// of §4.4 (Figure 8a's F&S gap at large ring sizes).
+// stack work items execute FIFO, each consuming the CPU time its Run
+// reports. Per-core utilisation feeds the CPU-bottleneck analysis of §4.4
+// (Figure 8a's F&S gap at large ring sizes).
 type Core struct {
 	eng     *sim.Engine
-	queue   sim.FIFO[coreItem]
-	cur     coreItem // the item whose CPU time is elapsing while running
+	queue   sim.FIFO[device.Item]
+	cur     device.Item // the item whose CPU time is elapsing while running
 	running bool
 	busy    sim.Duration // accumulated busy time
 	// drainFn and finishFn are c.drain and c.finish bound once, so the
 	// per-item events schedule the same func every time.
 	drainFn, finishFn func()
-}
-
-type coreItem struct {
-	work func() sim.Duration
-	done func()
 }
 
 // NewCore returns an idle core.
@@ -32,10 +28,11 @@ func NewCore(eng *sim.Engine) *Core {
 	return c
 }
 
-// Do enqueues work. work runs when the core reaches it and returns the CPU
-// time consumed; done (optional) fires after that time has elapsed.
-func (c *Core) Do(work func() sim.Duration, done func()) {
-	c.queue.Push(coreItem{work, done})
+// Post enqueues a work item. Its Run runs when the core reaches it and
+// returns the CPU time consumed; its Done fires after that time has
+// elapsed. The item runs in place in the core, so Run and Done share it.
+func (c *Core) Post(it device.Item) {
+	c.queue.Push(it)
 	if !c.running {
 		c.running = true
 		c.eng.After(0, c.drainFn)
@@ -48,7 +45,7 @@ func (c *Core) drain() {
 		return
 	}
 	c.cur = c.queue.Pop()
-	cost := c.cur.work()
+	cost := c.cur.Task.Run(&c.cur)
 	if cost < 0 {
 		cost = 0
 	}
@@ -56,13 +53,12 @@ func (c *Core) drain() {
 	c.eng.After(cost, c.finishFn)
 }
 
-// finish runs the finished item's done and starts the next item.
+// finish runs the finished item's Done and starts the next item. Done
+// may post more work, but the core is running, so nothing drains until
+// it returns and c.cur stays its item.
 func (c *Core) finish() {
-	done := c.cur.done
-	c.cur = coreItem{}
-	if done != nil {
-		done()
-	}
+	c.cur.Task.Done(&c.cur)
+	c.cur = device.Item{}
 	c.drain()
 }
 

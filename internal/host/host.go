@@ -28,6 +28,7 @@ import (
 	"fastsafe/internal/iommu"
 	"fastsafe/internal/mem"
 	"fastsafe/internal/nic"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/ptable"
 	"fastsafe/internal/sim"
@@ -261,13 +262,15 @@ type Host struct {
 
 	storageCount int // storage devices attached so far (cpu/seed slots)
 	started      bool
+	// housekeepingFn is h.housekeeping bound once for its periodic timer.
+	housekeepingFn func()
 
-	// shardPost, when set by a sharded Cluster, routes a mutation of
-	// another host's state to that host's engine shard (running it inline
-	// when both hosts share a shard). Nil for standalone hosts and
-	// single-shard clusters, where cross-host writes are ordinary
+	// creditTx, when set by a sharded Cluster, credits delivered bytes
+	// to another host's Tx accounting on that host's engine shard
+	// (inline when both hosts share a shard). Nil for standalone hosts
+	// and single-shard clusters, where cross-host writes are ordinary
 	// same-engine calls.
-	shardPost func(dst *Host, fn func())
+	creditTx func(dst *netDev, bytes int64)
 }
 
 // New builds the host per cfg. Additional cores are created on demand for
@@ -279,6 +282,7 @@ func New(cfg Config) (*Host, error) {
 		eng = sim.NewEngine(cfg.Seed)
 	}
 	h := &Host{cfg: cfg, eng: eng}
+	h.housekeepingFn = h.housekeeping
 	h.mmu = iommu.New(cfg.IOMMU)
 	h.walker = pcie.NewWalker(h.eng, cfg.Lm)
 	h.bus = mem.New(h.eng, mem.Config{})
@@ -365,7 +369,9 @@ func New(cfg Config) (*Host, error) {
 				Name:   n.name,
 				Domain: n.dom,
 				Exec: func(cost sim.Duration) {
-					h.core(n.cpuBase).Do(func() sim.Duration { return cost }, nil)
+					h.core(n.cpuBase).Post(device.Item{Task: &device.FuncTask{
+						Work: func() sim.Duration { return cost },
+					}})
 				},
 			})
 		}
@@ -443,9 +449,15 @@ func (h *Host) Faults() *fault.Injector { return h.inj }
 // Auditor exposes the safety auditor (nil unless auditing).
 func (h *Host) Auditor() *fault.Auditor { return h.aud }
 
-// Exec implements device.Host: schedule driver work on host core cpu.
+// Post implements device.Host: queue a work item on host core cpu.
+func (h *Host) Post(cpu int, it device.Item) { h.core(cpu).Post(it) }
+
+// Exec queues driver work given as funcs on host core cpu: work runs
+// when the core reaches it and returns the CPU time it takes; done, if
+// set, runs after that time. Each call allocates its adapter; the
+// datapath posts typed items instead.
 func (h *Host) Exec(cpu int, work func() sim.Duration, done func()) {
-	h.core(cpu).Do(work, done)
+	h.core(cpu).Post(device.Item{Task: &device.FuncTask{Work: work, Then: done}})
 }
 
 // Domain exposes the primary NIC's protection domain.
@@ -461,11 +473,20 @@ func (h *Host) core(cpu int) *Core {
 	return h.cores[cpu]
 }
 
-// irqCost returns the interrupt cost for a delivery on cpu: charged only
-// when the core is idle (a NAPI poll cycle starts); deliveries landing on
-// a busy core ride the existing poll batch.
-func (h *Host) irqCost(cpu int) sim.Duration {
+// withIRQ flags a delivery to host core cpu for an interrupt when the
+// core is idle (a NAPI poll cycle starts); deliveries landing on a busy
+// core ride the existing poll batch. The decision is taken when the
+// packet is handed to the core and charged by irqCost when it runs.
+func (h *Host) withIRQ(cpu int, pkt packet.Packet) packet.Packet {
 	if h.core(cpu).QueueLen() == 0 && !h.core(cpu).Busy() {
+		pkt.Flags |= flagIRQ
+	}
+	return pkt
+}
+
+// irqCost returns the interrupt cost withIRQ decided on for pkt.
+func (h *Host) irqCost(pkt packet.Packet) sim.Duration {
+	if pkt.Flags&flagIRQ != 0 {
 		return h.cfg.IRQCost
 	}
 	return 0
@@ -505,7 +526,7 @@ func (h *Host) Start() {
 	if h.ctl != nil {
 		h.ctl.Start()
 	}
-	h.eng.After(200*sim.Microsecond, h.housekeeping)
+	h.eng.After(200*sim.Microsecond, h.housekeepingFn)
 	// The sampler starts last: its read-only ticks interleave after the
 	// workload events already scheduled at each timestamp.
 	if h.tele != nil && h.tele.sampler != nil {
@@ -528,7 +549,7 @@ func (h *Host) housekeeping() {
 	for _, n := range h.nets {
 		n.deferredFlush(now)
 	}
-	h.eng.After(200*sim.Microsecond, h.housekeeping)
+	h.eng.After(200*sim.Microsecond, h.housekeepingFn)
 }
 
 // DebugFlows reports mean cwnd, mean alpha, mean inflight and total

@@ -5,6 +5,8 @@ import (
 
 	"fastsafe/internal/core"
 	"fastsafe/internal/device"
+	"fastsafe/internal/fabric"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/sim"
 )
 
@@ -332,8 +334,11 @@ func TestCoreQueueSerialises(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := NewCore(eng)
 	var order []int
-	c.Do(func() sim.Duration { order = append(order, 1); return 100 }, func() { order = append(order, 2) })
-	c.Do(func() sim.Duration { order = append(order, 3); return 50 }, nil)
+	c.Post(device.Item{Task: &device.FuncTask{
+		Work: func() sim.Duration { order = append(order, 1); return 100 },
+		Then: func() { order = append(order, 2) },
+	}})
+	c.Post(device.Item{Task: &device.FuncTask{Work: func() sim.Duration { order = append(order, 3); return 50 }}})
 	eng.RunAll()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -356,7 +361,7 @@ func TestWireSerialisationAndECN(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * 16 * sim.Microsecond
 		eng.At(at, func() {
-			w.Send(4096, func(ecn bool) { marks = append(marks, ecn) })
+			w.Send(packet.Packet{Bytes: 4096}, fabric.FuncSink(func(ecn bool) { marks = append(marks, ecn) }))
 		})
 	}
 	eng.RunAll()

@@ -1,10 +1,8 @@
 package host
 
 import (
-	"fmt"
-
-	"fastsafe/internal/core"
-	"fastsafe/internal/nic"
+	"fastsafe/internal/device"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
 )
@@ -62,16 +60,6 @@ func (c MsgConfig) withDefaults(h *Host) MsgConfig {
 		c.Cores = h.cfg.Cores
 	}
 	return c
-}
-
-// msgSeg is one segment of a message on the wire.
-type msgSeg struct {
-	stream int
-	msg    int64
-	idx    int
-	count  int
-	bytes  int
-	req    bool // request vs response segment
 }
 
 // slotState tracks one outstanding request from the initiator's side.
@@ -179,98 +167,116 @@ func (a *msgApp) initiate(s *msgStream) {
 	a.sendRequest(s, m)
 }
 
+// A message segment on the wire is a msgSeg packet: Flow is the stream,
+// Seq the message id, Aux the segment index, and flagReply marks a
+// response. The segment count follows from the message size.
+
+// segment returns segment i of message m on stream s.
+func (a *msgApp) segment(s *msgStream, m int64, i int, reply bool) packet.Packet {
+	size := a.cfg.ReqBytes
+	if reply {
+		size = a.cfg.RespBytes
+	}
+	p := packet.Packet{Kind: msgSeg, CPU: uint16(s.cpu), Bytes: int32(segBytes(size, a.h.cfg.MTU, i)),
+		Flow: int32(s.id), Seq: m, Aux: int32(i)}
+	if reply {
+		p.Flags |= flagReply
+	}
+	return p
+}
+
+// segments returns the segment count of a request or a response.
+func (a *msgApp) segments(reply bool) int {
+	if reply {
+		return segCount(a.cfg.RespBytes, a.h.cfg.MTU)
+	}
+	return segCount(a.cfg.ReqBytes, a.h.cfg.MTU)
+}
+
 // sendRequest transmits (or retransmits) the request segments of msg m.
 func (a *msgApp) sendRequest(s *msgStream, m int64) {
-	n := segCount(a.cfg.ReqBytes, a.h.cfg.MTU)
+	n := a.segments(false)
 	switch a.cfg.Pattern {
 	case LocalServes:
 		// Remote client -> local server over the wire.
 		for i := 0; i < n; i++ {
-			seg := msgSeg{stream: s.id, msg: m, idx: i, count: n,
-				bytes: segBytes(a.cfg.ReqBytes, a.h.cfg.MTU, i), req: true}
-			a.h.net.toLocal.Send(seg.bytes, func(ecn bool) {
-				a.h.net.dev.Arrive(nic.Packet{CPU: s.cpu, Bytes: seg.bytes, ECN: ecn, Payload: seg})
-			})
+			a.h.net.toLocal.Send(a.segment(s, m, i, false), a.h.net.dev)
 		}
 	case LocalClient:
 		// Local client -> remote server: each segment costs CPU + Tx DMA.
 		for i := 0; i < n; i++ {
-			seg := msgSeg{stream: s.id, msg: m, idx: i, count: n,
-				bytes: segBytes(a.cfg.ReqBytes, a.h.cfg.MTU, i), req: true}
-			a.sendLocalSeg(s, seg)
+			a.sendLocalSeg(a.segment(s, m, i, false))
 		}
 	}
 }
 
 // sendLocalSeg maps and transmits one locally-originated segment.
-func (a *msgApp) sendLocalSeg(s *msgStream, seg msgSeg) {
-	pages := (seg.bytes + 4095) / 4096
-	var m *core.TxMapping
-	a.h.core(s.cpu).Do(func() sim.Duration {
-		tm, mc, err := a.h.net.dom.MapTx(s.cpu, pages)
-		if err != nil {
-			panic(fmt.Sprintf("host: MapTx(msg): %v", err))
-		}
-		m = tm
-		return a.h.cfg.AckTxCost + mc
-	}, func() {
-		a.h.net.dev.SendTx(nic.Packet{CPU: s.cpu, Bytes: seg.bytes, Payload: seg}, m)
-	})
+func (a *msgApp) sendLocalSeg(seg packet.Packet) {
+	a.h.net.post(int(seg.CPU), device.Item{Task: a.h.net.prep(), Pkt: seg})
 }
 
 // onDeliver handles a message segment DMA'd into local memory.
-func (a *msgApp) onDeliver(pkt nic.Packet, seg msgSeg) {
-	s := a.streams[seg.stream]
-	a.h.core(s.cpu).Do(func() sim.Duration {
-		cost := a.h.net.stackCost()
-		switch a.cfg.Pattern {
-		case LocalServes:
-			if !seg.req {
-				panic("host: response segment delivered to serving host")
-			}
-			if s.answered[seg.msg] {
-				// Duplicate of an already-served request: re-answer once
-				// the tail segment shows up (the response may be lost).
-				if seg.idx == seg.count-1 {
-					cost += a.respond(s, seg.msg)
-				}
-				return cost
-			}
-			if a.assemble(s.localSeen, seg) {
-				s.answered[seg.msg] = true
-				a.inPayloadBytes += int64(a.cfg.ReqBytes)
-				cost += a.cfg.AppCPU
-				cost += a.respond(s, seg.msg)
-			}
-		case LocalClient:
-			if seg.req {
-				panic("host: request segment delivered to requesting host")
-			}
-			slot, ok := s.slots[seg.msg]
-			if !ok {
-				return cost // stale segment of a completed exchange
-			}
-			if a.assemble(s.localSeen, seg) {
-				a.inPayloadBytes += int64(a.cfg.RespBytes)
-				cost += a.cfg.AppCPU
-				a.complete(s, slot, int64(a.cfg.RespBytes))
-			}
-		}
-		return cost
-	}, nil)
+func (a *msgApp) onDeliver(pkt packet.Packet) {
+	a.h.net.post(a.streams[pkt.Flow].cpu, device.Item{Task: a, Pkt: pkt})
 }
+
+// Run implements device.Task: the stack and application work for a
+// delivered segment.
+func (a *msgApp) Run(it *device.Item) sim.Duration {
+	seg := it.Pkt
+	s := a.streams[seg.Flow]
+	reply := seg.Flags&flagReply != 0
+	cost := a.h.net.stackCost()
+	switch a.cfg.Pattern {
+	case LocalServes:
+		if reply {
+			panic("host: response segment delivered to serving host")
+		}
+		if s.answered[seg.Seq] {
+			// Duplicate of an already-served request: re-answer once
+			// the tail segment shows up (the response may be lost).
+			if int(seg.Aux) == a.segments(false)-1 {
+				cost += a.respond(s, seg.Seq)
+			}
+			return cost
+		}
+		if a.assemble(s.localSeen, seg) {
+			s.answered[seg.Seq] = true
+			a.inPayloadBytes += int64(a.cfg.ReqBytes)
+			cost += a.cfg.AppCPU
+			cost += a.respond(s, seg.Seq)
+		}
+	case LocalClient:
+		if !reply {
+			panic("host: request segment delivered to requesting host")
+		}
+		slot, ok := s.slots[seg.Seq]
+		if !ok {
+			return cost // stale segment of a completed exchange
+		}
+		if a.assemble(s.localSeen, seg) {
+			a.inPayloadBytes += int64(a.cfg.RespBytes)
+			cost += a.cfg.AppCPU
+			a.complete(s, slot, int64(a.cfg.RespBytes))
+		}
+	}
+	return cost
+}
+
+// Done implements device.Task; a delivered segment needs nothing more.
+func (a *msgApp) Done(*device.Item) {}
 
 // assemble records a segment, reporting true when the message is complete.
 // Completed messages are pruned so duplicates don't re-trigger.
-func (a *msgApp) assemble(seen map[int64]map[int]bool, seg msgSeg) bool {
-	set := seen[seg.msg]
+func (a *msgApp) assemble(seen map[int64]map[int]bool, seg packet.Packet) bool {
+	set := seen[seg.Seq]
 	if set == nil {
 		set = make(map[int]bool)
-		seen[seg.msg] = set
+		seen[seg.Seq] = set
 	}
-	set[seg.idx] = true
-	if len(set) == seg.count {
-		delete(seen, seg.msg)
+	set[int(seg.Aux)] = true
+	if len(set) == a.segments(seg.Flags&flagReply != 0) {
+		delete(seen, seg.Seq)
 		return true
 	}
 	return false
@@ -280,33 +286,25 @@ func (a *msgApp) assemble(seen map[int64]map[int]bool, seg msgSeg) bool {
 // Returns the CPU cost of queueing (mapping costs are charged per segment
 // by sendLocalSeg).
 func (a *msgApp) respond(s *msgStream, m int64) sim.Duration {
-	n := segCount(a.cfg.RespBytes, a.h.cfg.MTU)
+	n := a.segments(true)
 	for i := 0; i < n; i++ {
-		seg := msgSeg{stream: s.id, msg: m, idx: i, count: n,
-			bytes: segBytes(a.cfg.RespBytes, a.h.cfg.MTU, i), req: false}
-		a.sendLocalSeg(s, seg)
+		a.sendLocalSeg(a.segment(s, m, i, true))
 	}
 	return 0
-}
-
-// onTxDone routes a locally-sent segment onto the wire toward the remote.
-func (a *msgApp) onTxDone(pkt nic.Packet, seg msgSeg) {
-	s := a.streams[seg.stream]
-	a.h.net.toRemote.Send(pkt.Bytes, func(bool) {
-		a.remoteReceive(s, seg)
-	})
 }
 
 // remoteReceive is the abstract remote host's side: it assembles segments
 // instantly, answers requests (LocalClient) or completes exchanges
 // (LocalServes).
-func (a *msgApp) remoteReceive(s *msgStream, seg msgSeg) {
+func (a *msgApp) remoteReceive(seg packet.Packet) {
+	s := a.streams[seg.Flow]
+	reply := seg.Flags&flagReply != 0
 	switch a.cfg.Pattern {
 	case LocalServes:
-		if seg.req {
+		if !reply {
 			panic("host: request segment arrived back at remote client")
 		}
-		slot, ok := s.slots[seg.msg]
+		slot, ok := s.slots[seg.Seq]
 		if !ok {
 			return // stale response for a completed exchange
 		}
@@ -314,18 +312,14 @@ func (a *msgApp) remoteReceive(s *msgStream, seg msgSeg) {
 			a.complete(s, slot, int64(a.cfg.ReqBytes))
 		}
 	case LocalClient:
-		if !seg.req {
+		if reply {
 			panic("host: response segment arrived at remote server")
 		}
 		if a.assemble(s.remoteSeen, seg) {
 			// Remote server answers instantly with the bulk response.
-			n := segCount(a.cfg.RespBytes, a.h.cfg.MTU)
+			n := a.segments(true)
 			for i := 0; i < n; i++ {
-				rseg := msgSeg{stream: s.id, msg: seg.msg, idx: i, count: n,
-					bytes: segBytes(a.cfg.RespBytes, a.h.cfg.MTU, i), req: false}
-				a.h.net.toLocal.Send(rseg.bytes, func(ecn bool) {
-					a.h.net.dev.Arrive(nic.Packet{CPU: s.cpu, Bytes: rseg.bytes, ECN: ecn, Payload: rseg})
-				})
+				a.h.net.toLocal.Send(a.segment(s, seg.Seq, i, true), a.h.net.dev)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fastsafe/internal/core"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/sim"
 )
 
@@ -26,9 +27,10 @@ func TestMsgSegmentation(t *testing.T) {
 }
 
 func TestMsgAssembleDedupes(t *testing.T) {
-	a := &msgApp{}
+	// Requests of two segments.
+	a := &msgApp{h: &Host{cfg: Config{MTU: 4096}}, cfg: MsgConfig{ReqBytes: 8 << 10}}
 	seen := map[int64]map[int]bool{}
-	seg := msgSeg{msg: 1, idx: 0, count: 2}
+	seg := packet.Packet{Kind: msgSeg, Seq: 1, Aux: 0}
 	if a.assemble(seen, seg) {
 		t.Fatal("incomplete message reported complete")
 	}
@@ -36,12 +38,12 @@ func TestMsgAssembleDedupes(t *testing.T) {
 	if a.assemble(seen, seg) {
 		t.Fatal("duplicate segment completed message")
 	}
-	seg.idx = 1
+	seg.Aux = 1
 	if !a.assemble(seen, seg) {
 		t.Fatal("complete message not detected")
 	}
 	// Assembly state pruned: a late duplicate restarts from scratch.
-	if a.assemble(seen, msgSeg{msg: 1, idx: 1, count: 2}) {
+	if a.assemble(seen, packet.Packet{Kind: msgSeg, Seq: 1, Aux: 1}) {
 		t.Fatal("stale duplicate completed pruned message")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fastsafe/internal/core"
 	"fastsafe/internal/device"
 	"fastsafe/internal/nic"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/ptable"
 	"fastsafe/internal/sim"
@@ -72,6 +73,9 @@ type rxFlow struct {
 	snd        *transport.Sender   // remote end
 	rcv        *transport.Receiver // local end
 	flushArmed bool                // delayed-ACK timer pending
+	// pumpFn and flushFn are the flow's start kick and delayed-ACK
+	// timer, bound once.
+	pumpFn, flushFn func()
 }
 
 // txFlow couples a local DCTCP sender with a remote receiver.
@@ -81,26 +85,76 @@ type txFlow struct {
 	snd *transport.Sender   // local end
 	rcv *transport.Receiver // remote end
 	// sendQueued bounds the CPU-queue work outstanding for this flow.
-	sendQueued int
-	flushArmed bool // delayed-ACK timer pending at the remote receiver
+	sendQueued      int
+	flushArmed      bool // delayed-ACK timer pending at the remote receiver
+	pumpFn, flushFn func()
 }
 
-// Payload types carried in nic.Packet.Payload.
-type dataSeg struct { // remote -> local bulk data
-	flow int
-	seq  int64
+// Packet kinds. A packet's Flow indexes the flow table of the endpoint
+// handling it; Seq is a segment's sequence number, an ACK's cumulative
+// point, or a message's id.
+const (
+	dataSeg  packet.Kind = iota + 1 // remote -> local bulk data
+	ackOut                          // local ACK leaving for the remote sender
+	txData                          // local bulk data leaving for the remote receiver
+	txAckIn                         // remote ACK arriving for a local sender
+	peerData                        // bulk data between cluster hosts, src -> dst
+	peerAck                         // its ACK, dst -> src
+	rdmaData                        // one-sided frame, data source -> sink window
+	rdmaReq                         // READ work request, sink -> source
+	rdmaAck                         // hardware ACK, sink -> source
+	msgSeg                          // request/response message segment
+	serveSeg                        // serving-fleet request or response segment
+
+	// Core work that is not a packet. unmapTx releases a Tx mapping;
+	// remapMR re-points a sink window chunk (Flow: rdmaRx index, Seq:
+	// chunk slot); connMap maps a serving connection's buffer (Flow:
+	// connection).
+	unmapTx
+	remapMR
+	connMap
+)
+
+// Packet flags beyond ECN.
+const (
+	flagEcho  packet.Flags = packet.FlagUser << iota // ACK: ECN echo
+	flagDup                                          // ACK: duplicate
+	flagReply                                        // msgSeg, serveSeg: response, not request
+	flagIRQ                                          // delivery: the core was idle, charge an interrupt
+	flagAcked                                        // delivery: Run produced the ACK in Seq and flags
+)
+
+// ackPacket is an ACK header: Seq is the cumulative point.
+func ackPacket(kind packet.Kind, cpu, flow int, ack transport.Ack) packet.Packet {
+	p := packet.Packet{Kind: kind, CPU: uint16(cpu), Bytes: 64, Flow: int32(flow)}
+	setAck(&p, ack)
+	return p
 }
-type ackOut struct { // local ACK leaving for the remote sender
-	flow int
-	ack  transport.Ack
+
+// setAck stores ack in p's Seq and ACK flags.
+func setAck(p *packet.Packet, ack transport.Ack) {
+	p.Seq = ack.CumAck
+	p.Flags &^= flagEcho | flagDup
+	if ack.ECNEcho {
+		p.Flags |= flagEcho
+	}
+	if ack.Dup {
+		p.Flags |= flagDup
+	}
 }
-type txData struct { // local bulk data leaving for the remote receiver
-	flow int
-	seq  int64
+
+// ackOf reads the ACK a packet carries.
+func ackOf(p packet.Packet) transport.Ack {
+	return transport.Ack{CumAck: p.Seq, ECNEcho: p.Flags&flagEcho != 0, Dup: p.Flags&flagDup != 0}
 }
-type txAckIn struct { // remote ACK arriving for a local sender
-	flow int
-	ack  transport.Ack
+
+// recordAck leaves a delivery's ACK, if any, in the item for Done,
+// which sends ackOf(it.Pkt) when flagAcked is set.
+func recordAck(it *device.Item, ack transport.Ack, ok bool) {
+	if ok {
+		setAck(&it.Pkt, ack)
+		it.Pkt.Flags |= flagAcked
+	}
 }
 
 // counters that the snapshot mechanism diffs across the warmup boundary.
@@ -150,12 +204,29 @@ type netDev struct {
 }
 
 // netExec lets the NIC schedule driver work on host cores, offsetting
-// the device-local ring index by the device's core base.
+// the device-local ring index by the device's core base. The NIC calls
+// it once per recycled descriptor.
 type netExec struct{ n *netDev }
 
 func (e netExec) Do(cpu int, work func() sim.Duration, done func()) {
-	e.n.h.core(e.n.cpuBase+cpu).Do(work, done)
+	e.n.post(cpu, device.Item{Task: &device.FuncTask{Work: work, Then: done}})
 }
+
+// post queues a work item on the host core behind device-local core cpu.
+func (n *netDev) post(cpu int, it device.Item) { n.h.core(n.cpuBase + cpu).Post(it) }
+
+// The netDev's core work comes in two roles. The netDev itself is the
+// Task for received packets and driver chores; txPrep, the same netDev
+// under another name, builds and maps outgoing packets. Both convert to
+// a Task without allocating.
+type txPrep netDev
+
+// remoteEnd is the netDev's abstract remote host: the sink of its
+// toRemote wire.
+type remoteEnd netDev
+
+// prep returns the Tx-preparation role.
+func (n *netDev) prep() *txPrep { return (*txPrep)(n) }
 
 // Name implements device.Device.
 func (n *netDev) Name() string { return n.name }
@@ -245,6 +316,13 @@ func (n *netDev) Attach(dh device.Host) error {
 		}
 		f.snd.Bind(remote)
 		f.rcv.Bind(local)
+		f.pumpFn = func() { n.pumpRxFlow(f) }
+		f.flushFn = func() {
+			f.flushArmed = false
+			if ack, ok := f.rcv.TakeAck(); ok {
+				n.sendLocalAck(f.cpu, f.id, ack)
+			}
+		}
 		n.rxFlows = append(n.rxFlows, f)
 	}
 	for j := 0; j < n.spec.TxFlows; j++ {
@@ -256,6 +334,13 @@ func (n *netDev) Attach(dh device.Host) error {
 		}
 		f.snd.Bind(local)
 		f.rcv.Bind(remote)
+		f.pumpFn = func() { n.pumpTxFlow(f) }
+		f.flushFn = func() {
+			f.flushArmed = false
+			if ack, ok := f.rcv.TakeAck(); ok {
+				n.remoteAckToLocal(f, ack)
+			}
+		}
 		n.txFlows = append(n.txFlows, f)
 	}
 	return nil
@@ -264,28 +349,24 @@ func (n *netDev) Attach(dh device.Host) error {
 // Start implements device.Device: launch the configured bulk flows.
 func (n *netDev) Start() {
 	for i, f := range n.rxFlows {
-		f := f
-		n.h.eng.At(sim.Time(i)*sim.Microsecond, func() { n.pumpRxFlow(f) })
+		n.h.eng.At(sim.Time(i)*sim.Microsecond, f.pumpFn)
 	}
 	for j, f := range n.txFlows {
-		f := f
-		n.h.eng.At(sim.Time(j)*sim.Microsecond, func() { n.pumpTxFlow(f) })
+		n.h.eng.At(sim.Time(j)*sim.Microsecond, f.pumpFn)
 	}
 	for _, f := range n.peerTx {
-		f := f
-		n.h.eng.At(f.start, func() { n.pumpPeerFlow(f) })
+		n.h.eng.At(f.start, f.pumpFn)
 	}
 	// WRITE streams from the source at start; READ first posts the work
 	// request from the initiating sink, which kicks the source remotely.
 	for _, f := range n.rdmaTx {
-		f := f
 		if f.op != transport.Read {
-			n.h.eng.At(f.start, func() { n.pumpRdmaFlow(f) })
+			n.h.eng.At(f.start, f.pumpFn)
 		}
 	}
 	for _, f := range n.rdmaRx {
-		f := f
 		if f.op == transport.Read {
+			f := f
 			n.h.eng.At(f.start, func() { n.postRdmaRead(f) })
 		}
 	}
@@ -312,16 +393,16 @@ func (n *netDev) flowHousekeeping(now sim.Time) {
 		if f.snd.MaybeTimeout(now) {
 			n.pumpRxFlow(f)
 		}
-		if ack := f.rcv.FlushAck(); ack != nil {
-			n.sendLocalAck(f.cpu, f.id, *ack)
+		if ack, ok := f.rcv.TakeAck(); ok {
+			n.sendLocalAck(f.cpu, f.id, ack)
 		}
 	}
 	for _, f := range n.txFlows {
 		if f.snd.MaybeTimeout(now) {
 			n.pumpTxFlow(f)
 		}
-		if ack := f.rcv.FlushAck(); ack != nil {
-			n.remoteAckToLocal(f, *ack)
+		if ack, ok := f.rcv.TakeAck(); ok {
+			n.remoteAckToLocal(f, ack)
 		}
 	}
 	for _, f := range n.peerTx {
@@ -330,8 +411,8 @@ func (n *netDev) flowHousekeeping(now sim.Time) {
 		}
 	}
 	for _, f := range n.peerRx {
-		if ack := f.rcv.FlushAck(); ack != nil {
-			n.sendPeerAck(f, *ack)
+		if ack, ok := f.rcv.TakeAck(); ok {
+			n.sendPeerAck(f, ack)
 		}
 	}
 	for _, f := range n.rdmaTx {
@@ -340,8 +421,8 @@ func (n *netDev) flowHousekeeping(now sim.Time) {
 		}
 	}
 	for _, f := range n.rdmaRx {
-		if ack := f.rcv.FlushAck(); ack != nil {
-			n.sendRdmaAck(f, *ack)
+		if ack, ok := f.rcv.TakeAck(); ok {
+			n.sendRdmaAck(f, ack)
 		}
 	}
 }
@@ -353,7 +434,7 @@ func (n *netDev) deferredFlush(now sim.Time) {
 	if now-n.lastDeferredFlush >= n.dom.Knobs().FlushInterval {
 		n.lastDeferredFlush = now
 		if cost := n.dom.FlushDeferred(); cost > 0 {
-			n.h.core(n.cpuBase).Do(func() sim.Duration { return cost }, nil)
+			n.post(0, device.Item{Task: &device.FuncTask{Work: func() sim.Duration { return cost }}})
 		}
 	}
 }
@@ -365,10 +446,8 @@ func (n *netDev) pumpRxFlow(f *rxFlow) {
 	for f.snd.CanSend() {
 		seq, _ := f.snd.NextSend()
 		f.snd.OnSent(seq, n.h.eng.Now())
-		seg := dataSeg{flow: f.id, seq: seq}
-		n.toLocal.Send(n.spec.MTU, func(ecn bool) {
-			n.dev.Arrive(nic.Packet{CPU: f.cpu, Bytes: n.spec.MTU, ECN: ecn, Payload: seg})
-		})
+		n.toLocal.Send(packet.Packet{Kind: dataSeg, CPU: uint16(f.cpu), Bytes: int32(n.spec.MTU),
+			Flow: int32(f.id), Seq: seq}, n.dev)
 	}
 }
 
@@ -379,20 +458,8 @@ func (n *netDev) pumpTxFlow(f *txFlow) {
 		seq, _ := f.snd.NextSend()
 		f.snd.OnSent(seq, n.h.eng.Now())
 		f.sendQueued++
-		seg := txData{flow: f.id, seq: seq}
-		var m *core.TxMapping
-		n.h.core(n.cpuBase+f.cpu).Do(func() sim.Duration {
-			var cost sim.Duration = n.h.cfg.StackCost
-			tm, mc, err := n.dom.MapTx(f.cpu, n.mtuPages())
-			if err != nil {
-				panic(fmt.Sprintf("host: MapTx: %v", err))
-			}
-			m = tm
-			return cost + mc
-		}, func() {
-			f.sendQueued--
-			n.dev.SendTx(nic.Packet{CPU: f.cpu, Bytes: n.spec.MTU, Payload: seg}, m)
-		})
+		n.post(f.cpu, device.Item{Task: n.prep(), Pkt: packet.Packet{Kind: txData, CPU: uint16(f.cpu),
+			Bytes: int32(n.spec.MTU), Flow: int32(f.id), Seq: seq}})
 	}
 }
 
@@ -403,12 +470,7 @@ func (n *netDev) armRxFlush(f *rxFlow) {
 		return
 	}
 	f.flushArmed = true
-	n.h.eng.After(n.h.cfg.DelAck, func() {
-		f.flushArmed = false
-		if ack := f.rcv.FlushAck(); ack != nil {
-			n.sendLocalAck(f.cpu, f.id, *ack)
-		}
-	})
+	n.h.eng.After(n.h.cfg.DelAck, f.flushFn)
 }
 
 // armTxFlush is armRxFlush's counterpart at the abstract remote receiver.
@@ -417,37 +479,19 @@ func (n *netDev) armTxFlush(f *txFlow) {
 		return
 	}
 	f.flushArmed = true
-	n.h.eng.After(n.h.cfg.DelAck, func() {
-		f.flushArmed = false
-		if ack := f.rcv.FlushAck(); ack != nil {
-			n.remoteAckToLocal(f, *ack)
-		}
-	})
+	n.h.eng.After(n.h.cfg.DelAck, f.flushFn)
 }
 
 // sendLocalAck emits an ACK for rx flow id from the device-local core
 // cpu: CPU work to build and map it, then a NIC Tx DMA.
 func (n *netDev) sendLocalAck(cpu, flow int, ack transport.Ack) {
-	var m *core.TxMapping
-	n.h.core(n.cpuBase+cpu).Do(func() sim.Duration {
-		tm, mc, err := n.dom.MapTx(cpu, 1)
-		if err != nil {
-			panic(fmt.Sprintf("host: MapTx(ack): %v", err))
-		}
-		m = tm
-		n.c.acksSent++
-		return n.h.cfg.AckTxCost + mc
-	}, func() {
-		n.dev.SendTx(nic.Packet{CPU: cpu, Bytes: 64, Payload: ackOut{flow, ack}}, m)
-	})
+	n.post(cpu, device.Item{Task: n.prep(), Pkt: ackPacket(ackOut, cpu, flow, ack)})
 }
 
 // remoteAckToLocal carries a remote receiver's ACK back into the local
 // host, where it arrives like any other packet (through the Rx datapath).
 func (n *netDev) remoteAckToLocal(f *txFlow, ack transport.Ack) {
-	n.toLocal.Send(64, func(bool) {
-		n.dev.Arrive(nic.Packet{CPU: f.cpu, Bytes: 64, Payload: txAckIn{f.id, ack}})
-	})
+	n.toLocal.Send(ackPacket(txAckIn, f.cpu, f.id, ack), n.dev)
 }
 
 // onDeliver handles a packet whose DMA into local memory completed.
@@ -456,59 +500,147 @@ func (n *netDev) onDeliver(pkt nic.Packet) {
 	// Memory traffic: the DMA write (unless DDIO lands it in LLC) plus the
 	// stack/application copying the payload in and out.
 	if !h.cfg.DDIO {
-		h.bus.Consume(pkt.Bytes)
+		h.bus.Consume(int(pkt.Bytes))
 	}
 	// One-sided writes land in application memory with no stack or
 	// application copy; everything else pays the copy in and out.
-	if _, oneSided := pkt.Payload.(rdmaData); !oneSided {
-		h.bus.Consume(2 * pkt.Bytes)
+	if pkt.Kind != rdmaData {
+		h.bus.Consume(2 * int(pkt.Bytes))
 	}
-	switch p := pkt.Payload.(type) {
+	switch pkt.Kind {
 	case dataSeg:
-		f := n.rxFlows[p.flow]
-		irq := h.irqCost(n.cpuBase + f.cpu)
-		var pendingAck *transport.Ack
-		h.core(n.cpuBase+f.cpu).Do(func() sim.Duration {
-			cost := irq + n.stackCost()
-			delivered, ack := f.rcv.OnData(p.seq, pkt.ECN)
-			n.c.rxDeliveredBytes += delivered * int64(n.spec.MTU)
-			pendingAck = ack
-			return cost
-		}, func() {
-			if pendingAck != nil {
-				n.sendLocalAck(f.cpu, f.id, *pendingAck)
-			} else {
-				n.armRxFlush(f)
-			}
-		})
-
+		n.deliverToCore(n.rxFlows[pkt.Flow].cpu, pkt)
 	case txAckIn:
-		f := n.txFlows[p.flow]
-		h.core(n.cpuBase+f.cpu).Do(func() sim.Duration {
-			f.snd.OnAck(p.ack, h.eng.Now())
-			return h.cfg.AckRxCost
-		}, func() {
-			n.pumpTxFlow(f)
-		})
-
+		n.post(n.txFlows[pkt.Flow].cpu, device.Item{Task: n, Pkt: pkt})
 	case peerData:
-		n.peerDataDelivered(pkt, p)
-
+		n.deliverToCore(n.peerRx[pkt.Flow].dstCPU, pkt)
 	case peerAck:
-		n.peerAckDelivered(p)
-
+		n.post(n.peerTx[pkt.Flow].srcCPU, device.Item{Task: n, Pkt: pkt})
 	case rdmaData:
-		n.rdmaDataDelivered(pkt, p)
-
+		n.rdmaDataDelivered(pkt)
 	case msgSeg:
-		h.msgs.onDeliver(pkt, p)
-
+		h.msgs.onDeliver(pkt)
 	case serveSeg:
-		h.serve.onDeliver(pkt, p)
-
+		h.serve.onDeliver(pkt)
 	default:
-		panic(fmt.Sprintf("host: unknown Rx payload %T", pkt.Payload))
+		panic(fmt.Sprintf("host: unknown Rx packet kind %d", pkt.Kind))
 	}
+}
+
+// deliverToCore queues a data segment's stack processing on device-local
+// core cpu.
+func (n *netDev) deliverToCore(cpu int, pkt packet.Packet) {
+	n.post(cpu, device.Item{Task: n, Pkt: n.h.withIRQ(n.cpuBase+cpu, pkt)})
+}
+
+// Run implements device.Task for received packets and driver chores.
+func (n *netDev) Run(it *device.Item) sim.Duration {
+	h := n.h
+	pkt := it.Pkt
+	switch pkt.Kind {
+	case dataSeg:
+		f := n.rxFlows[pkt.Flow]
+		cost := h.irqCost(pkt) + n.stackCost()
+		delivered, ack, ok := f.rcv.Receive(pkt.Seq, pkt.ECN())
+		n.c.rxDeliveredBytes += delivered * int64(n.spec.MTU)
+		recordAck(it, ack, ok)
+		return cost
+	case txAckIn:
+		n.txFlows[pkt.Flow].snd.OnAck(ackOf(pkt), h.eng.Now())
+		return h.cfg.AckRxCost
+	case peerData:
+		return n.peerDataRun(it)
+	case peerAck:
+		n.peerTx[pkt.Flow].snd.OnAck(ackOf(pkt), h.eng.Now())
+		return h.cfg.AckRxCost
+	case rdmaAck:
+		n.rdmaTx[pkt.Flow].snd.OnAck(ackOf(pkt), h.eng.Now())
+		return h.cfg.AckRxCost
+	case unmapTx:
+		cost, err := n.dom.UnmapTx(it.M)
+		if err != nil {
+			panic(fmt.Sprintf("host: UnmapTx: %v", err))
+		}
+		return cost
+	case remapMR:
+		cost, err := n.dom.RemapRxDescriptor(n.rdmaRx[pkt.Flow].dstMR.chunks[pkt.Seq])
+		if err != nil {
+			panic(fmt.Sprintf("host: RemapRx(rdma window): %v", err))
+		}
+		return cost
+	}
+	panic(fmt.Sprintf("host: no core work for packet kind %d", pkt.Kind))
+}
+
+// Done implements device.Task: ACK or arm the delayed ACK after a data
+// segment, send more after an ACK.
+func (n *netDev) Done(it *device.Item) {
+	switch it.Pkt.Kind {
+	case dataSeg:
+		f := n.rxFlows[it.Pkt.Flow]
+		if it.Pkt.Flags&flagAcked != 0 {
+			n.sendLocalAck(f.cpu, f.id, ackOf(it.Pkt))
+		} else {
+			n.armRxFlush(f)
+		}
+	case txAckIn:
+		n.pumpTxFlow(n.txFlows[it.Pkt.Flow])
+	case peerData:
+		f := n.peerRx[it.Pkt.Flow]
+		if it.Pkt.Flags&flagAcked != 0 {
+			n.sendPeerAck(f, ackOf(it.Pkt))
+		} else {
+			n.armPeerFlush(f)
+		}
+	case peerAck:
+		n.pumpPeerFlow(n.peerTx[it.Pkt.Flow])
+	case rdmaAck:
+		n.pumpRdmaFlow(n.rdmaTx[it.Pkt.Flow])
+	}
+}
+
+// Run implements device.Task: charge the stack and map the outgoing
+// packet, leaving the mapping in the item.
+func (t *txPrep) Run(it *device.Item) sim.Duration {
+	n := (*netDev)(t)
+	cfg := &n.h.cfg
+	pkt := it.Pkt
+	var cost sim.Duration
+	var pages int
+	switch pkt.Kind {
+	case txData, peerData:
+		cost, pages = cfg.StackCost, n.mtuPages()
+	case ackOut, peerAck:
+		cost, pages = cfg.AckTxCost, 1
+		n.c.acksSent++
+	case msgSeg, serveSeg:
+		cost, pages = cfg.AckTxCost, (int(pkt.Bytes)+4095)/4096
+	case rdmaReq:
+		return cfg.StackCost // a work request, no buffer to map
+	default:
+		panic(fmt.Sprintf("host: no Tx preparation for packet kind %d", pkt.Kind))
+	}
+	m, mc, err := n.dom.MapTx(int(pkt.CPU), pages)
+	if err != nil {
+		panic(fmt.Sprintf("host: MapTx(kind %d): %v", pkt.Kind, err))
+	}
+	it.M = m
+	return cost + mc
+}
+
+// Done implements device.Task: hand the mapped packet to the NIC.
+func (t *txPrep) Done(it *device.Item) {
+	n := (*netDev)(t)
+	switch it.Pkt.Kind {
+	case txData:
+		n.txFlows[it.Pkt.Flow].sendQueued--
+	case peerData:
+		n.peerTx[it.Pkt.Flow].sendQueued--
+	case rdmaReq:
+		n.sendRdmaRead(it.Pkt)
+		return
+	}
+	n.dev.SendTx(it.Pkt, it.M)
 }
 
 // onTxDone handles completion of a local Tx DMA: the driver unmaps the
@@ -516,53 +648,70 @@ func (n *netDev) onDeliver(pkt nic.Packet) {
 func (n *netDev) onTxDone(pkt nic.Packet, m *core.TxMapping) {
 	h := n.h
 	if !h.cfg.DDIO {
-		h.bus.Consume(pkt.Bytes) // the DMA read
+		h.bus.Consume(int(pkt.Bytes)) // the DMA read
 	}
 	if m != nil {
-		h.core(n.cpuBase+pkt.CPU).Do(func() sim.Duration {
-			cost, err := n.dom.UnmapTx(m)
-			if err != nil {
-				panic(fmt.Sprintf("host: UnmapTx: %v", err))
-			}
-			return cost
-		}, nil)
+		n.post(int(pkt.CPU), device.Item{Task: n, Pkt: packet.Packet{Kind: unmapTx}, M: m})
 	}
-	switch p := pkt.Payload.(type) {
-	case ackOut:
-		f := n.rxFlows[p.flow]
-		n.toRemote.Send(pkt.Bytes, func(bool) {
-			f.snd.OnAck(p.ack, h.eng.Now())
-			n.pumpRxFlow(f)
-		})
-
-	case txData:
-		f := n.txFlows[p.flow]
-		n.toRemote.Send(pkt.Bytes, func(ecn bool) {
-			delivered, ack := f.rcv.OnData(p.seq, ecn)
-			n.c.txDeliveredBytes += delivered * int64(n.spec.MTU)
-			if ack != nil {
-				n.remoteAckToLocal(f, *ack)
-			} else {
-				n.armTxFlush(f)
-			}
-		})
-
+	switch pkt.Kind {
+	case ackOut, txData, msgSeg, serveSeg:
+		n.toRemote.Send(pkt, (*remoteEnd)(n))
 	case peerData:
-		n.peerTxDone(pkt, p)
-
+		f := n.peerTx[pkt.Flow]
+		pkt.CPU, pkt.Flow = uint16(f.dstCPU), int32(f.rxIdx)
+		f.srcPort.Transmit(f.dstPort.ID(), pkt, f.dst.dev)
 	case peerAck:
-		n.peerAckTxDone(pkt, p)
-
+		f := n.peerRx[pkt.Flow]
+		pkt.CPU, pkt.Flow = uint16(f.srcCPU), int32(f.txIdx)
+		f.dstPort.Transmit(f.srcPort.ID(), pkt, f.src.dev)
 	case rdmaData:
-		n.rdmaTxDone(pkt, p)
-
-	case msgSeg:
-		h.msgs.onTxDone(pkt, p)
-
-	case serveSeg:
-		h.serve.onTxDone(pkt, p)
-
+		n.rdmaTxDone(pkt)
 	default:
-		panic(fmt.Sprintf("host: unknown Tx payload %T", pkt.Payload))
+		panic(fmt.Sprintf("host: unknown Tx packet kind %d", pkt.Kind))
+	}
+}
+
+// Arrive implements fabric.Sink for the abstract remote host: the far
+// end of the toRemote wire, with an infinitely fast CPU and no IOMMU.
+func (r *remoteEnd) Arrive(pkt packet.Packet) {
+	n := (*netDev)(r)
+	switch pkt.Kind {
+	case ackOut:
+		f := n.rxFlows[pkt.Flow]
+		f.snd.OnAck(ackOf(pkt), n.h.eng.Now())
+		n.pumpRxFlow(f)
+	case txData:
+		f := n.txFlows[pkt.Flow]
+		delivered, ack, ok := f.rcv.Receive(pkt.Seq, pkt.ECN())
+		n.c.txDeliveredBytes += delivered * int64(n.spec.MTU)
+		if ok {
+			n.remoteAckToLocal(f, ack)
+		} else {
+			n.armTxFlush(f)
+		}
+	case msgSeg:
+		n.h.msgs.remoteReceive(pkt)
+	case serveSeg:
+		n.h.serve.clientReceive(pkt)
+	default:
+		panic(fmt.Sprintf("host: remote end got packet kind %d", pkt.Kind))
+	}
+}
+
+// Arrive implements fabric.Sink for the one-sided packets that reach a
+// cluster host without entering its Rx rings: RDMA frames land in a
+// registered window, READ requests and hardware ACKs are consumed by the
+// NIC. Two-sided peer packets are sent to the NIC itself.
+func (n *netDev) Arrive(pkt packet.Packet) {
+	switch pkt.Kind {
+	case rdmaData:
+		iovas, start := n.rdmaRx[pkt.Flow].dstMR.frame(pkt.Seq)
+		n.dev.DirectRx(pkt, iovas, start)
+	case rdmaReq:
+		n.pumpRdmaFlow(n.rdmaTx[pkt.Flow])
+	case rdmaAck:
+		n.rdmaAckDelivered(pkt)
+	default:
+		panic(fmt.Sprintf("host: fabric delivered packet kind %d to the NIC's one-sided engine", pkt.Kind))
 	}
 }

@@ -3,9 +3,9 @@ package host
 import (
 	"fmt"
 
-	"fastsafe/internal/core"
+	"fastsafe/internal/device"
 	"fastsafe/internal/fabric"
-	"fastsafe/internal/nic"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/transport"
 )
@@ -26,6 +26,9 @@ type peerFlow struct {
 	src, dst         *netDev
 	srcCPU, dstCPU   int // device-local core indices
 	srcPort, dstPort *fabric.Port
+	// txIdx and rxIdx are the flow's places in src.peerTx and
+	// dst.peerRx: a packet's Flow at the sending and receiving end.
+	txIdx, rxIdx int
 
 	snd *transport.Sender   // runs on src
 	rcv *transport.Receiver // runs on dst
@@ -35,16 +38,8 @@ type peerFlow struct {
 	// sendQueued bounds the CPU-queue work outstanding for this flow.
 	sendQueued int
 	flushArmed bool // delayed-ACK timer pending at dst
-}
-
-// Payload types carried in nic.Packet.Payload across the fabric.
-type peerData struct { // bulk data, src -> dst
-	flow *peerFlow
-	seq  int64
-}
-type peerAck struct { // ACK, dst -> src
-	flow *peerFlow
-	ack  transport.Ack
+	// pumpFn (on src) and flushFn (on dst) are bound once.
+	pumpFn, flushFn func()
 }
 
 // ConnectPeer wires a bulk flow from this host to dst through the given
@@ -61,12 +56,21 @@ func (h *Host) ConnectPeer(dst *Host, srcPort, dstPort *fabric.Port, id, srcCPU,
 		dstCPU:  dstCPU,
 		srcPort: srcPort,
 		dstPort: dstPort,
+		txIdx:   len(h.net.peerTx),
+		rxIdx:   len(dst.net.peerRx),
 		snd:     transport.NewSender(h.cfg.Transport),
 		rcv:     transport.NewReceiver(h.cfg.Transport),
 		start:   start,
 	}
 	f.snd.Bind(transport.Endpoint{Host: h.cfg.HostID, Peer: dst.cfg.HostID})
 	f.rcv.Bind(transport.Endpoint{Host: dst.cfg.HostID, Peer: h.cfg.HostID})
+	f.pumpFn = func() { f.src.pumpPeerFlow(f) }
+	f.flushFn = func() {
+		f.flushArmed = false
+		if ack, ok := f.rcv.TakeAck(); ok {
+			f.dst.sendPeerAck(f, ack)
+		}
+	}
 	h.net.peerTx = append(h.net.peerTx, f)
 	dst.net.peerRx = append(dst.net.peerRx, f)
 	if h.tele != nil {
@@ -83,20 +87,8 @@ func (n *netDev) pumpPeerFlow(f *peerFlow) {
 		seq, _ := f.snd.NextSend()
 		f.snd.OnSent(seq, n.h.eng.Now())
 		f.sendQueued++
-		seg := peerData{flow: f, seq: seq}
-		var m *core.TxMapping
-		n.h.core(n.cpuBase+f.srcCPU).Do(func() sim.Duration {
-			var cost sim.Duration = n.h.cfg.StackCost
-			tm, mc, err := n.dom.MapTx(f.srcCPU, n.mtuPages())
-			if err != nil {
-				panic(fmt.Sprintf("host: MapTx(peer): %v", err))
-			}
-			m = tm
-			return cost + mc
-		}, func() {
-			f.sendQueued--
-			n.dev.SendTx(nic.Packet{CPU: f.srcCPU, Bytes: f.mtu, Payload: seg}, m)
-		})
+		n.post(f.srcCPU, device.Item{Task: n.prep(), Pkt: packet.Packet{Kind: peerData, CPU: uint16(f.srcCPU),
+			Bytes: int32(f.mtu), Flow: int32(f.txIdx), Seq: seq}})
 	}
 }
 
@@ -104,18 +96,7 @@ func (n *netDev) pumpPeerFlow(f *peerFlow) {
 // work to build and map it, a NIC Tx DMA, then the fabric back to the
 // sender. Runs on f.dst's host.
 func (n *netDev) sendPeerAck(f *peerFlow, ack transport.Ack) {
-	var m *core.TxMapping
-	n.h.core(n.cpuBase+f.dstCPU).Do(func() sim.Duration {
-		tm, mc, err := n.dom.MapTx(f.dstCPU, 1)
-		if err != nil {
-			panic(fmt.Sprintf("host: MapTx(peer ack): %v", err))
-		}
-		m = tm
-		n.c.acksSent++
-		return n.h.cfg.AckTxCost + mc
-	}, func() {
-		n.dev.SendTx(nic.Packet{CPU: f.dstCPU, Bytes: 64, Payload: peerAck{f, ack}}, m)
-	})
+	n.post(f.dstCPU, device.Item{Task: n.prep(), Pkt: ackPacket(peerAck, f.dstCPU, f.rxIdx, ack)})
 }
 
 // armPeerFlush schedules a delayed-ACK flush at the receiving host.
@@ -124,38 +105,22 @@ func (n *netDev) armPeerFlush(f *peerFlow) {
 		return
 	}
 	f.flushArmed = true
-	n.h.eng.After(n.h.cfg.DelAck, func() {
-		f.flushArmed = false
-		if ack := f.rcv.FlushAck(); ack != nil {
-			n.sendPeerAck(f, *ack)
-		}
-	})
+	n.h.eng.After(n.h.cfg.DelAck, f.flushFn)
 }
 
-// peerDataDelivered handles a bulk segment whose Rx DMA into the
-// receiving host's memory completed.
-func (n *netDev) peerDataDelivered(pkt nic.Packet, p peerData) {
-	f := p.flow
-	h := n.h
-	irq := h.irqCost(n.cpuBase + f.dstCPU)
-	var pendingAck *transport.Ack
-	h.core(n.cpuBase+f.dstCPU).Do(func() sim.Duration {
-		cost := irq + n.stackCost()
-		delivered, ack := f.rcv.OnData(p.seq, pkt.ECN)
-		bytes := delivered * int64(f.mtu)
-		// Goodput lands at the receiver; the sender's Tx accounting
-		// mirrors it (delivery is what the paper's goodput counts).
-		n.c.rxDeliveredBytes += bytes
-		n.creditPeerTx(f.src, bytes)
-		pendingAck = ack
-		return cost
-	}, func() {
-		if pendingAck != nil {
-			n.sendPeerAck(f, *pendingAck)
-		} else {
-			n.armPeerFlush(f)
-		}
-	})
+// peerDataRun is the receiving core's work for a bulk segment whose Rx
+// DMA into this host's memory completed.
+func (n *netDev) peerDataRun(it *device.Item) sim.Duration {
+	f := n.peerRx[it.Pkt.Flow]
+	cost := n.h.irqCost(it.Pkt) + n.stackCost()
+	delivered, ack, ok := f.rcv.Receive(it.Pkt.Seq, it.Pkt.ECN())
+	bytes := delivered * int64(f.mtu)
+	// Goodput lands at the receiver; the sender's Tx accounting
+	// mirrors it (delivery is what the paper's goodput counts).
+	n.c.rxDeliveredBytes += bytes
+	n.creditPeerTx(f.src, bytes)
+	recordAck(it, ack, ok)
+	return cost
 }
 
 // creditPeerTx mirrors delivered peer-flow bytes into the sending host's
@@ -169,40 +134,9 @@ func (n *netDev) creditPeerTx(src *netDev, bytes int64) {
 	if bytes == 0 {
 		return
 	}
-	if post := n.h.shardPost; post != nil {
-		post(src.h, func() { src.c.txDeliveredBytes += bytes })
+	if credit := n.h.creditTx; credit != nil {
+		credit(src, bytes)
 		return
 	}
 	src.c.txDeliveredBytes += bytes
-}
-
-// peerAckDelivered handles an ACK whose Rx DMA into the sending host's
-// memory completed.
-func (n *netDev) peerAckDelivered(p peerAck) {
-	f := p.flow
-	h := n.h
-	h.core(n.cpuBase+f.srcCPU).Do(func() sim.Duration {
-		f.snd.OnAck(p.ack, h.eng.Now())
-		return h.cfg.AckRxCost
-	}, func() {
-		n.pumpPeerFlow(f)
-	})
-}
-
-// peerTxDone routes a transmitted bulk segment onto the fabric toward
-// the receiving host (the Tx DMA on the sending host just completed).
-func (n *netDev) peerTxDone(pkt nic.Packet, p peerData) {
-	f := p.flow
-	f.srcPort.Send(f.dstPort.ID(), pkt.Bytes, func(ecn bool) {
-		f.dst.dev.Arrive(nic.Packet{CPU: f.dstCPU, Bytes: pkt.Bytes, ECN: ecn, Payload: p})
-	})
-}
-
-// peerAckTxDone routes a transmitted ACK onto the fabric back toward the
-// sending host.
-func (n *netDev) peerAckTxDone(pkt nic.Packet, p peerAck) {
-	f := p.flow
-	f.dstPort.Send(f.srcPort.ID(), pkt.Bytes, func(ecn bool) {
-		f.src.dev.Arrive(nic.Packet{CPU: f.srcCPU, Bytes: pkt.Bytes, ECN: ecn, Payload: p})
-	})
 }

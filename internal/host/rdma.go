@@ -4,8 +4,9 @@ import (
 	"fmt"
 
 	"fastsafe/internal/core"
+	"fastsafe/internal/device"
 	"fastsafe/internal/fabric"
-	"fastsafe/internal/nic"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/ptable"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/transport"
@@ -47,17 +48,14 @@ type rdmaFlow struct {
 
 	srcMR *mrWindow // streamed from; registered once, never recycled
 	dstMR *mrWindow // landed into; chunks recycle behind the ack point
+	// txIdx and rxIdx are the flow's places in src.rdmaTx and
+	// dst.rdmaRx: a packet's Flow at the source and at the sink.
+	txIdx, rxIdx int
 
 	start      sim.Time // staggered first pump (or READ request post)
 	flushArmed bool     // delayed hardware-ACK timer pending at dst
-}
-
-// rdmaData is the bulk payload carried in nic.Packet.Payload across the
-// fabric; one-sided ACKs are NIC-generated and never enter a datapath,
-// so they need no payload type.
-type rdmaData struct {
-	flow *rdmaFlow
-	seq  int64
+	// pumpFn (on src) and flushFn (on dst) are bound once.
+	pumpFn, flushFn func()
 }
 
 // mrWindow is a registered memory region the one-sided verbs target: a
@@ -127,12 +125,21 @@ func (h *Host) ConnectRDMA(dst *Host, srcPort, dstPort *fabric.Port, op transpor
 		dstCPU:  dstCPU,
 		srcPort: srcPort,
 		dstPort: dstPort,
+		txIdx:   len(h.net.rdmaTx),
+		rxIdx:   len(dst.net.rdmaRx),
 		snd:     transport.NewSender(p),
 		rcv:     transport.NewReceiver(p),
 		start:   start,
 	}
 	f.snd.Bind(transport.Endpoint{Host: h.cfg.HostID, Peer: dst.cfg.HostID})
 	f.rcv.Bind(transport.Endpoint{Host: dst.cfg.HostID, Peer: h.cfg.HostID})
+	f.pumpFn = func() { f.src.pumpRdmaFlow(f) }
+	f.flushFn = func() {
+		f.flushArmed = false
+		if ack, ok := f.rcv.TakeAck(); ok {
+			f.dst.sendRdmaAck(f, ack)
+		}
+	}
 	f.srcMR = h.net.newMRWindow(srcCPU, f.mtu)
 	f.dstMR = dst.net.newMRWindow(dstCPU, f.mtu)
 	h.net.rdmaTx = append(h.net.rdmaTx, f)
@@ -153,7 +160,8 @@ func (n *netDev) pumpRdmaFlow(f *rdmaFlow) {
 		seq, _ := f.snd.NextSend()
 		f.snd.OnSent(seq, n.h.eng.Now())
 		iovas, start := f.srcMR.frame(seq)
-		n.dev.SendTxDirect(nic.Packet{CPU: f.srcCPU, Bytes: f.mtu, Payload: rdmaData{flow: f, seq: seq}}, iovas, start)
+		n.dev.SendTxDirect(packet.Packet{Kind: rdmaData, CPU: uint16(f.srcCPU), Bytes: int32(f.mtu),
+			Flow: int32(f.txIdx), Seq: seq}, iovas, start)
 	}
 }
 
@@ -162,40 +170,41 @@ func (n *netDev) pumpRdmaFlow(f *rdmaFlow) {
 // fabric, and the source NIC starts streaming — its CPU never sees the
 // request. Runs on f.dst's host.
 func (n *netDev) postRdmaRead(f *rdmaFlow) {
-	n.h.core(n.cpuBase+f.dstCPU).Do(func() sim.Duration {
-		return n.h.cfg.StackCost
-	}, func() {
-		f.dstPort.Send(f.srcPort.ID(), 64, func(bool) {
-			f.src.pumpRdmaFlow(f)
-		})
-	})
+	n.post(f.dstCPU, device.Item{Task: n.prep(), Pkt: packet.Packet{Kind: rdmaReq, CPU: uint16(f.dstCPU),
+		Bytes: 64, Flow: int32(f.rxIdx)}})
+}
+
+// sendRdmaRead puts a posted READ request on the fabric toward the
+// source NIC.
+func (n *netDev) sendRdmaRead(pkt packet.Packet) {
+	f := n.rdmaRx[pkt.Flow]
+	pkt.Flow = int32(f.txIdx)
+	f.dstPort.Transmit(f.srcPort.ID(), pkt, f.src)
 }
 
 // rdmaTxDone routes a streamed frame onto the fabric toward the sink,
 // where it lands as a direct DMA into the target window — no ring, no
 // descriptor recycling, no per-packet remote CPU.
-func (n *netDev) rdmaTxDone(pkt nic.Packet, p rdmaData) {
-	f := p.flow
-	f.srcPort.Send(f.dstPort.ID(), pkt.Bytes, func(ecn bool) {
-		iovas, start := f.dstMR.frame(p.seq)
-		f.dst.dev.DirectRx(nic.Packet{CPU: f.dstCPU, Bytes: pkt.Bytes, ECN: ecn, Payload: p}, iovas, start)
-	})
+func (n *netDev) rdmaTxDone(pkt packet.Packet) {
+	f := n.rdmaTx[pkt.Flow]
+	pkt.CPU, pkt.Flow = uint16(f.dstCPU), int32(f.rxIdx)
+	f.srcPort.Transmit(f.dstPort.ID(), pkt, f.dst)
 }
 
 // rdmaDataDelivered handles a frame whose direct DMA into the sink
 // window completed. Everything here is NIC-side: transport state,
 // goodput accounting and the hardware ACK cost no sink CPU cycles.
-func (n *netDev) rdmaDataDelivered(pkt nic.Packet, p rdmaData) {
-	f := p.flow
-	delivered, ack := f.rcv.OnData(p.seq, pkt.ECN)
+func (n *netDev) rdmaDataDelivered(pkt packet.Packet) {
+	f := n.rdmaRx[pkt.Flow]
+	delivered, ack, ok := f.rcv.Receive(pkt.Seq, pkt.ECN())
 	bytes := delivered * int64(f.mtu)
 	n.c.rxDeliveredBytes += bytes
 	n.creditPeerTx(f.src, bytes)
 	if delivered > 0 {
 		n.maybeRecycleMR(f)
 	}
-	if ack != nil {
-		n.sendRdmaAck(f, *ack)
+	if ok {
+		n.sendRdmaAck(f, ack)
 	} else {
 		n.armRdmaFlush(f)
 	}
@@ -205,9 +214,7 @@ func (n *netDev) rdmaDataDelivered(pkt nic.Packet, p rdmaData) {
 // 64-byte frame straight onto the fabric, no CPU, no Tx mapping.
 func (n *netDev) sendRdmaAck(f *rdmaFlow, ack transport.Ack) {
 	n.c.acksSent++
-	f.dstPort.Send(f.srcPort.ID(), 64, func(bool) {
-		f.src.rdmaAckDelivered(f, ack)
-	})
+	f.dstPort.Transmit(f.srcPort.ID(), ackPacket(rdmaAck, f.srcCPU, f.txIdx, ack), f.src)
 }
 
 // armRdmaFlush schedules a delayed hardware ACK at the sink, the NIC
@@ -217,24 +224,14 @@ func (n *netDev) armRdmaFlush(f *rdmaFlow) {
 		return
 	}
 	f.flushArmed = true
-	n.h.eng.After(n.h.cfg.DelAck, func() {
-		f.flushArmed = false
-		if ack := f.rcv.FlushAck(); ack != nil {
-			n.sendRdmaAck(f, *ack)
-		}
-	})
+	n.h.eng.After(n.h.cfg.DelAck, f.flushFn)
 }
 
 // rdmaAckDelivered lands a hardware ACK at the source: the completion
 // surfaces to the initiating core (CQE poll), which re-arms the stream.
 // Runs on f.src's host.
-func (n *netDev) rdmaAckDelivered(f *rdmaFlow, ack transport.Ack) {
-	n.h.core(n.cpuBase+f.srcCPU).Do(func() sim.Duration {
-		f.snd.OnAck(ack, n.h.eng.Now())
-		return n.h.cfg.AckRxCost
-	}, func() {
-		n.pumpRdmaFlow(f)
-	})
+func (n *netDev) rdmaAckDelivered(pkt packet.Packet) {
+	n.post(n.rdmaTx[pkt.Flow].srcCPU, device.Item{Task: n, Pkt: pkt})
 }
 
 // maybeRecycleMR rotates sink window chunks the cumulative ack point
@@ -250,13 +247,7 @@ func (n *netDev) maybeRecycleMR(f *rdmaFlow) {
 	for f.rcv.RcvNxt() >= (w.recycled+1)*int64(w.framesPer) {
 		ord := w.recycled
 		w.recycled++
-		slot := int(ord % int64(len(w.chunks)))
-		n.h.core(n.cpuBase+f.dstCPU).Do(func() sim.Duration {
-			cost, err := n.dom.RemapRxDescriptor(w.chunks[slot])
-			if err != nil {
-				panic(fmt.Sprintf("host: RemapRx(rdma window): %v", err))
-			}
-			return cost
-		}, nil)
+		slot := ord % int64(len(w.chunks))
+		n.post(f.dstCPU, device.Item{Task: n, Pkt: packet.Packet{Kind: remapMR, Flow: int32(f.rxIdx), Seq: slot}})
 	}
 }

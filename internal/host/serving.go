@@ -5,7 +5,8 @@ import (
 
 	"fastsafe/internal/cohort"
 	"fastsafe/internal/core"
-	"fastsafe/internal/nic"
+	"fastsafe/internal/device"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
 )
@@ -71,15 +72,10 @@ func (c ServeConfig) withDefaults(h *Host) ServeConfig {
 // generator never retries).
 const servingGCTimeout = 5 * sim.Millisecond
 
-// serveSeg is one serving segment on the wire.
-type serveSeg struct {
-	id    int64
-	conn  int
-	idx   int
-	count int
-	bytes int
-	resp  bool // response vs request segment
-}
+// A serving segment on the wire is a serveSeg packet: Flow is the
+// connection, Seq the request id, and flagReply marks a response.
+// Segments are counted, not named: the count follows from the
+// request's sizes.
 
 // servReq tracks one in-flight request at the serving host.
 type servReq struct {
@@ -95,12 +91,14 @@ type servingApp struct {
 	cfg   ServeConfig
 	fleet *cohort.Fleet
 
-	timerSet bool
-	timerAt  sim.Time
-	timer    sim.EventID
+	timerSet  bool
+	timerAt   sim.Time
+	timer     sim.EventID
+	onTimerFn func() // a.onTimer, bound once
 
 	pending  map[int64]*servReq
-	gcq      []int64           // request ids in arrival order (FIFO expiry scan)
+	freeReqs []*servReq        // completed or expired requests, for reuse
+	gcq      sim.FIFO[int64]   // request ids in arrival order (FIFO expiry scan)
 	connMaps []*core.TxMapping // per-connection buffer, remapped at rebirth
 	latency  stats.Histogram
 
@@ -133,6 +131,7 @@ func (h *Host) InstallServing(cfg ServeConfig) (*servingApp, error) {
 		pending:  make(map[int64]*servReq),
 		connMaps: make([]*core.TxMapping, cfg.Conns),
 	}
+	app.onTimerFn = app.onTimer
 	h.serve = app
 	if h.tele != nil {
 		h.tele.reg.AddHistogram(h.tele.name("serve.latency_ns"), &app.latency)
@@ -156,45 +155,17 @@ func (a *servingApp) cpu(conn int) int { return a.cfg.CoreBase + conn%a.cfg.Core
 // the arrival timer.
 func (a *servingApp) start() {
 	for c := 0; c < a.cfg.Conns; c++ {
-		a.mapConn(c)
+		a.remapConn(c)
 	}
 	a.armTimer()
 }
 
-// mapConn maps connection c's buffer on its core, paying the mode's
-// mapping cost there.
-func (a *servingApp) mapConn(c int) {
-	cpu := a.cpu(c)
-	a.h.core(cpu).Do(func() sim.Duration {
-		tm, mc, err := a.h.net.dom.MapTx(cpu, a.cfg.ConnPages)
-		if err != nil {
-			panic(fmt.Sprintf("host: MapTx(conn): %v", err))
-		}
-		a.connMaps[c] = tm
-		return mc
-	}, nil)
-}
-
-// recycleConn retires a dead connection's buffer and maps the fresh
-// incarnation's — the churn cost the figure is built to expose.
-func (a *servingApp) recycleConn(c int) {
-	cpu := a.cpu(c)
-	a.h.core(cpu).Do(func() sim.Duration {
-		var cost sim.Duration
-		if m := a.connMaps[c]; m != nil {
-			uc, err := a.h.net.dom.UnmapTx(m)
-			if err != nil {
-				panic(fmt.Sprintf("host: UnmapTx(conn): %v", err))
-			}
-			cost += uc
-		}
-		tm, mc, err := a.h.net.dom.MapTx(cpu, a.cfg.ConnPages)
-		if err != nil {
-			panic(fmt.Sprintf("host: MapTx(conn): %v", err))
-		}
-		a.connMaps[c] = tm
-		return cost + mc
-	}, nil)
+// remapConn queues the (re)mapping of connection c's buffer on its
+// core: a dead incarnation's buffer is unmapped and the fresh one
+// mapped, paying the mode's costs there — the churn cost the figure is
+// built to expose. At start there is nothing to unmap.
+func (a *servingApp) remapConn(c int) {
+	a.h.net.post(a.cpu(c), device.Item{Task: a, Pkt: packet.Packet{Kind: connMap, Flow: int32(c)}})
 }
 
 // armTimer keeps exactly one engine timer pending, at the fleet's
@@ -216,7 +187,7 @@ func (a *servingApp) armTimer() {
 	}
 	a.timerSet = true
 	a.timerAt = at
-	a.timer = a.h.eng.At(at, a.onTimer)
+	a.timer = a.h.eng.At(at, a.onTimerFn)
 }
 
 // onTimer pops every arrival due now and re-arms for the next.
@@ -233,44 +204,82 @@ func (a *servingApp) onTimer() {
 	a.armTimer()
 }
 
+// newReq takes a request record from the free list, or allocates one.
+func (a *servingApp) newReq(arr cohort.Arrival, now sim.Time) *servReq {
+	n := len(a.freeReqs)
+	if n == 0 {
+		return &servReq{arr: arr, start: now}
+	}
+	r := a.freeReqs[n-1]
+	a.freeReqs[n-1] = nil
+	a.freeReqs = a.freeReqs[:n-1]
+	*r = servReq{arr: arr, start: now}
+	return r
+}
+
 // sendRequest puts one request on the wire from the abstract client:
 // segments arrive at the NIC like any remote traffic and may be
 // tail-dropped under pressure.
 func (a *servingApp) sendRequest(arr cohort.Arrival, now sim.Time) {
-	r := &servReq{arr: arr, start: now}
-	a.pending[arr.ID] = r
-	a.gcq = append(a.gcq, arr.ID)
+	a.pending[arr.ID] = a.newReq(arr, now)
+	a.gcq.Push(arr.ID)
 	n := segCount(arr.Req, a.h.cfg.MTU)
 	cpu := a.cpu(arr.Conn)
 	for i := 0; i < n; i++ {
-		seg := serveSeg{id: arr.ID, conn: arr.Conn, idx: i, count: n,
-			bytes: segBytes(arr.Req, a.h.cfg.MTU, i)}
-		a.h.net.toLocal.Send(seg.bytes, func(ecn bool) {
-			a.h.net.dev.Arrive(nic.Packet{CPU: cpu, Bytes: seg.bytes, ECN: ecn, Payload: seg})
-		})
+		a.h.net.toLocal.Send(packet.Packet{Kind: serveSeg, CPU: uint16(cpu),
+			Bytes: int32(segBytes(arr.Req, a.h.cfg.MTU, i)), Flow: int32(arr.Conn),
+			Seq: arr.ID}, a.h.net.dev)
 	}
 }
 
 // onDeliver handles a request segment DMA'd into local memory.
-func (a *servingApp) onDeliver(pkt nic.Packet, seg serveSeg) {
-	if seg.resp {
+func (a *servingApp) onDeliver(pkt packet.Packet) {
+	if pkt.Flags&flagReply != 0 {
 		panic("host: response segment delivered to serving host")
 	}
-	cpu := a.cpu(seg.conn)
-	irq := a.h.irqCost(cpu)
-	a.h.core(cpu).Do(func() sim.Duration {
-		cost := irq + a.h.net.stackCost()
-		r, ok := a.pending[seg.id]
-		if !ok || r.answered {
-			return cost // late segment of an expired or answered request
+	cpu := a.cpu(int(pkt.Flow))
+	a.h.net.post(cpu, device.Item{Task: a, Pkt: a.h.withIRQ(cpu, pkt)})
+}
+
+// Run implements device.Task: a delivered request segment's stack and
+// application work, or a connection buffer remap.
+func (a *servingApp) Run(it *device.Item) sim.Duration {
+	if it.Pkt.Kind == connMap {
+		return a.remapConnRun(int(it.Pkt.Flow))
+	}
+	cost := a.h.irqCost(it.Pkt) + a.h.net.stackCost()
+	r, ok := a.pending[it.Pkt.Seq]
+	if !ok || r.answered {
+		return cost // late segment of an expired or answered request
+	}
+	r.got++
+	if r.got == segCount(r.arr.Req, a.h.cfg.MTU) {
+		cost += a.cfg.AppCPU
+		a.respond(r)
+	}
+	return cost
+}
+
+// Done implements device.Task; nothing follows a request segment.
+func (a *servingApp) Done(*device.Item) {}
+
+// remapConnRun unmaps connection c's old buffer, if any, and maps a
+// fresh one.
+func (a *servingApp) remapConnRun(c int) sim.Duration {
+	var cost sim.Duration
+	if m := a.connMaps[c]; m != nil {
+		uc, err := a.h.net.dom.UnmapTx(m)
+		if err != nil {
+			panic(fmt.Sprintf("host: UnmapTx(conn): %v", err))
 		}
-		r.got++
-		if r.got == seg.count {
-			cost += a.cfg.AppCPU
-			a.respond(r)
-		}
-		return cost
-	}, nil)
+		cost += uc
+	}
+	tm, mc, err := a.h.net.dom.MapTx(a.cpu(c), a.cfg.ConnPages)
+	if err != nil {
+		panic(fmt.Sprintf("host: MapTx(conn): %v", err))
+	}
+	a.connMaps[c] = tm
+	return cost + mc
 }
 
 // respond sends the response: each segment is mapped into a fresh
@@ -281,52 +290,34 @@ func (a *servingApp) respond(r *servReq) {
 	n := segCount(r.arr.Resp, a.h.cfg.MTU)
 	cpu := a.cpu(r.arr.Conn)
 	for i := 0; i < n; i++ {
-		seg := serveSeg{id: r.arr.ID, conn: r.arr.Conn, idx: i, count: n,
-			bytes: segBytes(r.arr.Resp, a.h.cfg.MTU, i), resp: true}
-		pages := (seg.bytes + 4095) / 4096
-		var m *core.TxMapping
-		a.h.core(cpu).Do(func() sim.Duration {
-			tm, mc, err := a.h.net.dom.MapTx(cpu, pages)
-			if err != nil {
-				panic(fmt.Sprintf("host: MapTx(serve): %v", err))
-			}
-			m = tm
-			return a.h.cfg.AckTxCost + mc
-		}, func() {
-			a.h.net.dev.SendTx(nic.Packet{CPU: cpu, Bytes: seg.bytes, Payload: seg}, m)
-		})
+		a.h.net.post(cpu, device.Item{Task: a.h.net.prep(), Pkt: packet.Packet{Kind: serveSeg,
+			CPU: uint16(cpu), Bytes: int32(segBytes(r.arr.Resp, a.h.cfg.MTU, i)),
+			Flow: int32(r.arr.Conn), Seq: r.arr.ID, Flags: flagReply}})
 	}
 }
 
-// onTxDone routes a sent response segment onto the wire toward the
-// abstract client (the Tx buffer was already unmapped by the generic
-// netDev completion path).
-func (a *servingApp) onTxDone(pkt nic.Packet, seg serveSeg) {
-	a.h.net.toRemote.Send(pkt.Bytes, func(bool) {
-		a.clientReceive(seg)
-	})
-}
-
 // clientReceive is the abstract client's side: the last response
-// segment completes the request.
-func (a *servingApp) clientReceive(seg serveSeg) {
-	r, ok := a.pending[seg.id]
+// segment completes the request. The response's Tx buffer was already
+// unmapped by the generic netDev completion path.
+func (a *servingApp) clientReceive(seg packet.Packet) {
+	r, ok := a.pending[seg.Seq]
 	if !ok {
 		return
 	}
 	r.respGot++
-	if r.respGot < seg.count {
+	if r.respGot < segCount(r.arr.Resp, a.h.cfg.MTU) {
 		return
 	}
-	delete(a.pending, seg.id)
+	delete(a.pending, seg.Seq)
 	now := a.h.eng.Now()
 	rec, reborn := a.fleet.Complete(r.arr, now, int64(now-r.start))
 	a.latency.Observe(rec)
 	a.completed++
 	a.completedBytes += int64(r.arr.Req + r.arr.Resp)
 	if reborn {
-		a.recycleConn(r.arr.Conn)
+		a.remapConn(r.arr.Conn)
 	}
+	a.freeReqs = append(a.freeReqs, r)
 	a.armTimer()
 }
 
@@ -335,22 +326,23 @@ func (a *servingApp) clientReceive(seg serveSeg) {
 // entry still inside the timeout.
 func (a *servingApp) housekeeping(now sim.Time) {
 	changed := false
-	for len(a.gcq) > 0 {
-		id := a.gcq[0]
+	for a.gcq.Len() > 0 {
+		id := a.gcq.Peek()
 		r, ok := a.pending[id]
 		if !ok {
-			a.gcq = a.gcq[1:]
+			a.gcq.Pop()
 			continue
 		}
 		if now-r.start < servingGCTimeout || r.answered {
 			break
 		}
-		a.gcq = a.gcq[1:]
+		a.gcq.Pop()
 		delete(a.pending, id)
 		a.expired++
 		if a.fleet.Abandon(r.arr, now) {
-			a.recycleConn(r.arr.Conn)
+			a.remapConn(r.arr.Conn)
 		}
+		a.freeReqs = append(a.freeReqs, r)
 		changed = true
 	}
 	if changed {

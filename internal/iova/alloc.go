@@ -59,6 +59,10 @@ type TreeAllocator struct {
 	topPFN uint64 // first PFN above the allocatable space
 	hint   *node  // last allocation, search cursor (Linux cached node)
 	stats  Stats
+	// free holds nodes removed from the tree for reuse. A freed node is
+	// never the hint (Free moves the hint off it first), so nothing else
+	// refers to it.
+	free []*node
 }
 
 // NewTree returns a TreeAllocator covering the full 48-bit IOVA space.
@@ -103,7 +107,7 @@ func (a *TreeAllocator) allocRange(npages uint64) *node {
 				gapLo = cur.end()
 				limitStart := limit
 				if limitStart >= gapLo+npages {
-					n := &node{start: limitStart - npages, npages: npages}
+					n := a.newNode(limitStart-npages, npages)
 					a.tree.insert(n)
 					return n
 				}
@@ -113,7 +117,7 @@ func (a *TreeAllocator) allocRange(npages uint64) *node {
 			}
 			// Below the lowest allocated range.
 			if limit >= gapLo+npages {
-				n := &node{start: limit - npages, npages: npages}
+				n := a.newNode(limit-npages, npages)
 				a.tree.insert(n)
 				return n
 			}
@@ -149,7 +153,22 @@ func (a *TreeAllocator) Free(_ int, base ptable.IOVA, pages int) {
 		a.hint = a.tree.successor(n)
 	}
 	a.tree.remove(n)
+	a.free = append(a.free, n)
 	a.stats.TreeFrees++
+}
+
+// newNode takes a node for [start, start+npages) from the free list, or
+// allocates one.
+func (a *TreeAllocator) newNode(start, npages uint64) *node {
+	k := len(a.free)
+	if k == 0 {
+		return &node{start: start, npages: npages}
+	}
+	n := a.free[k-1]
+	a.free[k-1] = nil
+	a.free = a.free[:k-1]
+	*n = node{start: start, npages: npages}
+	return n
 }
 
 // Allocated returns the number of live allocated ranges.

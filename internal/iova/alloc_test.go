@@ -433,3 +433,42 @@ func TestFlushRCachesReturnsEverythingToTree(t *testing.T) {
 		t.Fatalf("second FlushRCaches released %d, want 0", n)
 	}
 }
+
+// TestTreeAllocFreeZeroAlloc: once the tree has held its peak number of
+// ranges, allocating and freeing reuses removed nodes and allocates
+// nothing.
+func TestTreeAllocFreeZeroAlloc(t *testing.T) {
+	a := NewTree()
+	var live []ptable.IOVA
+	for i := 0; i < 64; i++ {
+		v, ok := a.Alloc(0, 1+i%3)
+		if !ok {
+			t.Fatal("warm-up allocation failed")
+		}
+		live = append(live, v)
+	}
+	// Free every other range, then churn through the holes and below.
+	for i := 0; i < len(live); i += 2 {
+		a.Free(0, live[i], 1+i%3)
+	}
+	churn := func() {
+		var got [8]ptable.IOVA
+		for k := range got {
+			v, ok := a.Alloc(0, 1+k%3)
+			if !ok {
+				t.Fatal("allocation failed")
+			}
+			got[k] = v
+		}
+		for k := len(got) - 1; k >= 0; k-- {
+			a.Free(0, got[k], 1+k%3)
+		}
+	}
+	churn()
+	if allocs := testing.AllocsPerRun(200, churn); allocs != 0 {
+		t.Fatalf("warm tree alloc/free allocates %.2f times per round, want 0", allocs)
+	}
+	if a.Allocated() != len(live)/2 {
+		t.Fatalf("Allocated() = %d, want %d", a.Allocated(), len(live)/2)
+	}
+}

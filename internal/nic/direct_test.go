@@ -69,8 +69,8 @@ func TestFrameStride(t *testing.T) {
 func TestDirectRxDeliversThroughATC(t *testing.T) {
 	h := newDirectHarness(t, core.FNS, 64, Config{})
 	iovas := window(t, h)
-	h.nic.DirectRx(Packet{Bytes: 4096, Payload: "w"}, iovas, 0)
-	h.nic.DirectRx(Packet{Bytes: 4096, Payload: "w2"}, iovas, 0)
+	h.nic.DirectRx(Packet{Bytes: 4096, Seq: 1}, iovas, 0)
+	h.nic.DirectRx(Packet{Bytes: 4096, Seq: 2}, iovas, 0)
 	h.eng.RunAll()
 	if len(h.delivered) != 2 {
 		t.Fatalf("delivered = %v", h.delivered)
@@ -123,7 +123,7 @@ func TestDirectRxMarksAtOwnThreshold(t *testing.T) {
 	}
 	var ecn int
 	for _, p := range h.delivered {
-		if p.ECN {
+		if p.ECN() {
 			ecn++
 		}
 	}
@@ -174,8 +174,8 @@ func TestSendTxDirectStreamsWindow(t *testing.T) {
 	h := newDirectHarness(t, core.FNS, 64, Config{})
 	iovas := window(t, h)
 	stride := h.nic.FrameStride(4096)
-	h.nic.SendTxDirect(Packet{Bytes: 4096, Payload: "a"}, iovas, 0)
-	h.nic.SendTxDirect(Packet{Bytes: 4096, Payload: "b"}, iovas, stride)
+	h.nic.SendTxDirect(Packet{Bytes: 4096, Seq: 1}, iovas, 0)
+	h.nic.SendTxDirect(Packet{Bytes: 4096, Seq: 2}, iovas, stride)
 	h.eng.RunAll()
 	if len(h.txDone) != 2 {
 		t.Fatalf("txDone = %v", h.txDone)
@@ -207,9 +207,9 @@ func TestRingAndDirectRxShareCompletionOrder(t *testing.T) {
 	stride := h.nic.FrameStride(4096)
 	for i := 0; i < 12; i++ {
 		if i%3 == 1 {
-			h.nic.DirectRx(Packet{Bytes: 4096, Payload: i}, iovas, stride*(i%2))
+			h.nic.DirectRx(Packet{Bytes: 4096, Seq: int64(i)}, iovas, stride*(i%2))
 		} else {
-			h.nic.Arrive(Packet{CPU: 0, Bytes: 4096, Payload: i})
+			h.nic.Arrive(Packet{CPU: 0, Bytes: 4096, Seq: int64(i)})
 		}
 	}
 	h.eng.RunAll()
@@ -218,8 +218,8 @@ func TestRingAndDirectRxShareCompletionOrder(t *testing.T) {
 	}
 	want := []int{0, 1, 2, 3, 4, 7, 10, 5, 6, 8, 9, 11}
 	for i, p := range h.delivered {
-		if p.Payload != want[i] {
-			t.Fatalf("delivery %d carried payload %v, want %d", i, p.Payload, want[i])
+		if p.Seq != int64(want[i]) {
+			t.Fatalf("delivery %d carried packet %d, want %d", i, p.Seq, want[i])
 		}
 	}
 	if h.nic.BufferOccupancy() != 0 {

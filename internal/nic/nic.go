@@ -14,9 +14,11 @@ package nic
 
 import (
 	"fmt"
+	"math"
 
 	"fastsafe/internal/core"
 	"fastsafe/internal/fault"
+	"fastsafe/internal/packet"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/ptable"
 	"fastsafe/internal/sim"
@@ -24,18 +26,16 @@ import (
 
 // Executor schedules driver work on a core: work runs when the core frees
 // up and returns the CPU time it consumed; done (optional) fires once that
-// time has elapsed.
+// time has elapsed. Work submitted for one cpu must run in submission
+// order: the NIC passes the same prebound funcs for every descriptor
+// recycle and keeps the descriptors in a per-ring queue.
 type Executor interface {
 	Do(cpu int, work func() sim.Duration, done func())
 }
 
-// Packet is one wire packet. Payload is opaque to the NIC.
-type Packet struct {
-	CPU     int // target core / ring (aRFS steering)
-	Bytes   int
-	ECN     bool // marked congestion-experienced
-	Payload any
-}
+// Packet is one wire packet: a fixed header, opaque to the NIC apart
+// from CPU, Bytes and the ECN mark.
+type Packet = packet.Packet
 
 // Config sizes the NIC.
 type Config struct {
@@ -118,6 +118,12 @@ type ring struct {
 	done     map[*core.Descriptor]bool
 	queue    sim.FIFO[Packet] // packets waiting for DMA on this ring
 	ringIOVA ptable.IOVA
+
+	// recycling holds the descriptors handed to the executor, in
+	// submission order; recycleFn is r.recycle bound once.
+	n         *NIC
+	recycling sim.FIFO[*core.Descriptor]
+	recycleFn func() sim.Duration
 }
 
 // NIC is the device model.
@@ -141,6 +147,7 @@ type NIC struct {
 	rxInflight         sim.FIFO[rxEntry]
 	txInflight         sim.FIFO[txEntry]
 	rxDoneFn, txDoneFn func()
+	pumpRxFn           func()
 
 	// batch and reads are pumpRx's scratch space, reused across calls.
 	batch [rxPipeline]rxEntry
@@ -182,19 +189,23 @@ type txEntry struct {
 func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec Executor) (*NIC, error) {
 	cfg = cfg.withDefaults()
 	n := &NIC{eng: eng, cfg: cfg, dom: dom, rx: rx, tx: tx, exec: exec}
-	n.rxDoneFn, n.txDoneFn = n.rxDone, n.txDone
+	n.rxDoneFn, n.txDoneFn, n.pumpRxFn = n.rxDone, n.txDone, n.pumpRx
 	descPages := dom.DescriptorPages()
 	descBytes := descPages * ptable.PageSize
 	frame := cfg.MTU + cfg.HeaderBytes
 	if frame > descBytes {
 		return nil, fmt.Errorf("nic: MTU %d larger than a descriptor", cfg.MTU)
 	}
+	if cfg.Cores > math.MaxUint16+1 {
+		return nil, fmt.Errorf("nic: %d cores; a packet header steers to at most %d rings", cfg.Cores, math.MaxUint16+1)
+	}
 	framesPerDesc := descBytes / frame
 	// The NIC is given twice the ring's worth of pages (the paper's
 	// footnote 2 observes this factor of two in practice).
 	numDesc := 2 * ((cfg.RingPackets + framesPerDesc - 1) / framesPerDesc)
 	for c := 0; c < cfg.Cores; c++ {
-		r := &ring{cpu: c, pending: map[*core.Descriptor]int{}, done: map[*core.Descriptor]bool{}}
+		r := &ring{cpu: c, pending: map[*core.Descriptor]int{}, done: map[*core.Descriptor]bool{}, n: n}
+		r.recycleFn = r.recycle
 		// The ring table itself is coherent DMA memory, mapped once.
 		iovas, err := dom.MapPersistentPages(c, 1)
 		if err != nil {
@@ -220,7 +231,7 @@ func (n *NIC) Stats() Stats { return n.stats }
 func (n *NIC) BufferOccupancy() int { return n.bufferBytes }
 
 // frameBytes returns the DMA size of a packet: payload plus headers.
-func (n *NIC) frameBytes(pkt Packet) int { return pkt.Bytes + n.cfg.HeaderBytes }
+func (n *NIC) frameBytes(pkt Packet) int { return int(pkt.Bytes) + n.cfg.HeaderBytes }
 
 // align rounds b up to the frame placement alignment.
 func (n *NIC) align(b int) int {
@@ -235,11 +246,12 @@ func (n *NIC) FrameStride(payload int) int { return n.align(payload + n.cfg.Head
 
 // Arrive delivers a wire packet into the NIC input buffer (§2.1 step 2).
 // It applies ECN marking above the K threshold and tail-drops when the
-// buffer is full.
+// buffer is full. Its signature makes the NIC a link sink, so a wire
+// delivers straight into it.
 func (n *NIC) Arrive(pkt Packet) {
 	n.stats.Arrived++
 	n.stats.ArrivedBytes += int64(pkt.Bytes)
-	if n.bufferBytes+pkt.Bytes > n.cfg.BufferBytes {
+	if n.bufferBytes+int(pkt.Bytes) > n.cfg.BufferBytes {
 		n.stats.Dropped++
 		n.stats.DroppedBytes += int64(pkt.Bytes)
 		if n.OnDrop != nil {
@@ -248,11 +260,11 @@ func (n *NIC) Arrive(pkt Packet) {
 		return
 	}
 	if n.cfg.ECNKBytes > 0 && n.bufferBytes > n.cfg.ECNKBytes {
-		pkt.ECN = true
+		pkt.MarkECN(true)
 		n.stats.Marked++
 	}
-	n.bufferBytes += pkt.Bytes
-	r := n.rings[pkt.CPU%len(n.rings)]
+	n.bufferBytes += int(pkt.Bytes)
+	r := n.rings[int(pkt.CPU)%len(n.rings)]
 	r.queue.Push(pkt)
 	n.pumpRx()
 }
@@ -266,7 +278,7 @@ func (n *NIC) Arrive(pkt Packet) {
 func (n *NIC) DirectRx(pkt Packet, iovas []ptable.IOVA, start int) {
 	n.stats.Arrived++
 	n.stats.ArrivedBytes += int64(pkt.Bytes)
-	if n.bufferBytes+pkt.Bytes > n.cfg.BufferBytes {
+	if n.bufferBytes+int(pkt.Bytes) > n.cfg.BufferBytes {
 		n.stats.Dropped++
 		n.stats.DroppedBytes += int64(pkt.Bytes)
 		if n.OnDrop != nil {
@@ -275,10 +287,10 @@ func (n *NIC) DirectRx(pkt Packet, iovas []ptable.IOVA, start int) {
 		return
 	}
 	if k := n.directECNK(); k > 0 && n.bufferBytes > k {
-		pkt.ECN = true
+		pkt.MarkECN(true)
 		n.stats.Marked++
 	}
-	n.bufferBytes += pkt.Bytes
+	n.bufferBytes += int(pkt.Bytes)
 	reads := 0
 	if n.dom.Mode().Translated() {
 		n.cfg.Faults.Observe(iovas[start/ptable.PageSize] + ptable.IOVA(start%ptable.PageSize))
@@ -288,7 +300,7 @@ func (n *NIC) DirectRx(pkt Packet, iovas []ptable.IOVA, start int) {
 	n.stats.RxDMAs++
 	n.stats.RxBytes += int64(pkt.Bytes)
 	n.rxInflight.Push(rxEntry{pkt: pkt})
-	n.rx.Submit(pkt.Bytes, reads, n.rxDoneFn)
+	n.rx.Submit(int(pkt.Bytes), reads, n.rxDoneFn)
 }
 
 func (n *NIC) directECNK() int {
@@ -432,13 +444,13 @@ func (n *NIC) submitRxDMA(e rxEntry, reads int) {
 	n.stats.RxDMAs++
 	n.stats.RxBytes += int64(e.pkt.Bytes)
 	n.rxInflight.Push(e)
-	n.rx.Submit(e.pkt.Bytes, reads, n.rxDoneFn)
+	n.rx.Submit(int(e.pkt.Bytes), reads, n.rxDoneFn)
 }
 
 // rxDone completes the oldest Rx DMA, from submitRxDMA or DirectRx.
 func (n *NIC) rxDone() {
 	e := n.rxInflight.Pop()
-	n.bufferBytes -= e.pkt.Bytes
+	n.bufferBytes -= int(e.pkt.Bytes)
 	if e.r != nil {
 		e.r.pending[e.desc]--
 		n.maybeRecycle(e.r, e.desc)
@@ -464,32 +476,38 @@ func (n *NIC) maybeRecycle(r *ring, desc *core.Descriptor) {
 		r.cur = nil
 		r.curByte = 0
 	}
-	recycle := func() {
-		n.exec.Do(r.cpu, func() sim.Duration {
-			unmapCost, err := n.dom.UnmapRxDescriptor(desc)
-			if err != nil {
-				panic(fmt.Sprintf("nic: unmap descriptor: %v", err))
-			}
-			fresh, mapCost, err := n.dom.MapRxDescriptor(r.cpu)
-			if err != nil {
-				panic(fmt.Sprintf("nic: replenish descriptor: %v", err))
-			}
-			delete(r.pending, desc)
-			delete(r.done, desc)
-			r.avail.Push(fresh)
-			return unmapCost + mapCost
-		}, func() {
-			n.pumpRx()
-		})
-	}
 	// An injected late completion writeback delays the driver seeing the
 	// descriptor as done — the unmap happens later, never earlier, so
 	// this widens timing windows without ever weakening safety itself.
 	if delay := n.cfg.Faults.DelayWriteback(); delay > 0 {
-		n.eng.After(delay, recycle)
+		n.eng.After(delay, func() { r.submitRecycle(desc) })
 	} else {
-		recycle()
+		r.submitRecycle(desc)
 	}
+}
+
+// submitRecycle hands a retired descriptor to the driver on r's core.
+func (r *ring) submitRecycle(desc *core.Descriptor) {
+	r.recycling.Push(desc)
+	r.n.exec.Do(r.cpu, r.recycleFn, r.n.pumpRxFn)
+}
+
+// recycle is the driver work for the oldest submitted descriptor: unmap
+// it and replenish the ring with a freshly mapped one.
+func (r *ring) recycle() sim.Duration {
+	n, desc := r.n, r.recycling.Pop()
+	unmapCost, err := n.dom.UnmapRxDescriptor(desc)
+	if err != nil {
+		panic(fmt.Sprintf("nic: unmap descriptor: %v", err))
+	}
+	fresh, mapCost, err := n.dom.MapRxDescriptor(r.cpu)
+	if err != nil {
+		panic(fmt.Sprintf("nic: replenish descriptor: %v", err))
+	}
+	delete(r.pending, desc)
+	delete(r.done, desc)
+	r.avail.Push(fresh)
+	return unmapCost + mapCost
 }
 
 // SendTx enqueues a Tx DMA: the NIC reads the packet out of host memory
@@ -520,7 +538,7 @@ func (n *NIC) pumpTx() {
 		reads := 0
 		if n.dom.Mode().Translated() && e.m != nil {
 			n.cfg.Faults.Observe(e.m.IOVAs[0])
-			for off := 0; off < e.pkt.Bytes+n.cfg.HeaderBytes; off += n.cfg.MPS {
+			for off := 0; off < n.frameBytes(e.pkt); off += n.cfg.MPS {
 				page := off / ptable.PageSize
 				if page >= len(e.m.IOVAs) {
 					page = len(e.m.IOVAs) - 1
@@ -532,13 +550,13 @@ func (n *NIC) pumpTx() {
 			reads += n.cfg.Faults.MaybeMisbehave()
 		} else if n.dom.Mode().Translated() && len(e.iovas) > 0 {
 			n.cfg.Faults.Observe(e.iovas[e.start/ptable.PageSize])
-			reads = n.translateWindow(e.iovas, e.start, e.pkt.Bytes+n.cfg.HeaderBytes)
+			reads = n.translateWindow(e.iovas, e.start, n.frameBytes(e.pkt))
 			reads += n.cfg.Faults.MaybeMisbehave()
 		}
 		n.stats.TxDMAs++
 		n.stats.TxBytes += int64(e.pkt.Bytes)
 		n.txInflight.Push(e)
-		n.tx.Submit(e.pkt.Bytes, reads, n.txDoneFn)
+		n.tx.Submit(int(e.pkt.Bytes), reads, n.txDoneFn)
 	}
 }
 

@@ -64,9 +64,9 @@ func newHarness(t *testing.T, mode core.Mode, cfg Config) *harness {
 
 func TestRxDeliversPacket(t *testing.T) {
 	h := newHarness(t, core.Off, Config{})
-	h.nic.Arrive(Packet{CPU: 0, Bytes: 4096, Payload: "p"})
+	h.nic.Arrive(Packet{CPU: 0, Bytes: 4096, Seq: 7})
 	h.eng.RunAll()
-	if len(h.delivered) != 1 || h.delivered[0].Payload != "p" {
+	if len(h.delivered) != 1 || h.delivered[0].Seq != 7 {
 		t.Fatalf("delivered = %v", h.delivered)
 	}
 	if h.nic.BufferOccupancy() != 0 {
@@ -125,14 +125,14 @@ func TestECNMarkingAboveThreshold(t *testing.T) {
 	h.eng.RunAll()
 	marked := 0
 	for _, p := range h.delivered {
-		if p.ECN {
+		if p.ECN() {
 			marked++
 		}
 	}
 	if marked == 0 {
 		t.Fatal("no ECN marks above threshold")
 	}
-	if h.delivered[0].ECN {
+	if h.delivered[0].ECN() {
 		t.Fatal("first packet marked while buffer was empty")
 	}
 }
@@ -180,8 +180,8 @@ func (*neverExec) Do(int, func() sim.Duration, func()) {}
 
 func TestMultiCoreSteering(t *testing.T) {
 	h := newHarness(t, core.Off, Config{Cores: 2})
-	h.nic.Arrive(Packet{CPU: 0, Bytes: 4096, Payload: 0})
-	h.nic.Arrive(Packet{CPU: 1, Bytes: 4096, Payload: 1})
+	h.nic.Arrive(Packet{CPU: 0, Bytes: 4096, Seq: 0})
+	h.nic.Arrive(Packet{CPU: 1, Bytes: 4096, Seq: 1})
 	h.eng.RunAll()
 	if len(h.delivered) != 2 {
 		t.Fatalf("delivered = %d, want 2", len(h.delivered))
@@ -194,7 +194,7 @@ func TestTxDMAAndUnmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.nic.SendTx(Packet{CPU: 0, Bytes: 64, Payload: "ack"}, m)
+	h.nic.SendTx(Packet{CPU: 0, Bytes: 64, Seq: 3}, m)
 	h.eng.RunAll()
 	if len(h.txDone) != 1 {
 		t.Fatalf("txDone = %d, want 1", len(h.txDone))
@@ -210,7 +210,7 @@ func TestTxDMAAndUnmap(t *testing.T) {
 func TestTxQueueSerializes(t *testing.T) {
 	h := newHarness(t, core.Off, Config{})
 	for i := 0; i < 3; i++ {
-		h.nic.SendTx(Packet{CPU: 0, Bytes: 4096, Payload: i}, nil)
+		h.nic.SendTx(Packet{CPU: 0, Bytes: 4096, Seq: int64(i)}, nil)
 	}
 	if h.nic.TxQueueLen() == 0 && h.tx.Busy() == false {
 		t.Fatal("expected queued Tx work")
@@ -220,7 +220,7 @@ func TestTxQueueSerializes(t *testing.T) {
 		t.Fatalf("txDone = %d, want 3", len(h.txDone))
 	}
 	for i, p := range h.txDone {
-		if p.Payload != i {
+		if p.Seq != int64(i) {
 			t.Fatalf("Tx completion order = %v", h.txDone)
 		}
 	}
@@ -335,7 +335,7 @@ func TestQueueProbesReadLogicalLength(t *testing.T) {
 	h.nic.RegisterProbes(reg, "nic0.")
 	h.tx.RegisterProbes(reg, "nic0.pcie.tx.")
 	for i := 0; i < 7; i++ {
-		h.nic.SendTx(Packet{CPU: 0, Bytes: 4096, Payload: i}, nil)
+		h.nic.SendTx(Packet{CPU: 0, Bytes: 4096, Seq: int64(i)}, nil)
 	}
 	sawBacklog := false
 	for {
@@ -357,5 +357,19 @@ func TestQueueProbesReadLogicalLength(t *testing.T) {
 	}
 	if h.nic.TxQueueLen() != 0 || len(h.txDone) != 7 {
 		t.Fatalf("TxQueueLen() = %d, completed %d, want 0 and 7", h.nic.TxQueueLen(), len(h.txDone))
+	}
+}
+
+// A packet header steers with a 16-bit CPU, so a NIC with more rings
+// than that is refused at construction, not misrouted at run time.
+func TestNewRejectsMoreRingsThanAHeaderCanSteer(t *testing.T) {
+	eng := sim.NewEngine(1)
+	dom, err := core.NewDomain(core.Config{Mode: core.Off, NumCPUs: 1, DescriptorPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := pcie.New(eng, 65, 197, 128)
+	if _, err := New(eng, Config{Cores: 1<<16 + 1}, dom, l, l, &instantExec{eng}); err == nil {
+		t.Fatal("a NIC with 65537 rings was accepted")
 	}
 }

@@ -102,7 +102,7 @@ func BenchmarkEventPoolChurn(b *testing.B) {
 func BenchmarkShardsPingPong(b *testing.B) {
 	b.ReportAllocs()
 	const la = 10
-	s := NewShards(2, 1, la)
+	s := newFuncShards(2, 1, la)
 	n := 0
 	var hop func(me int)
 	hop = func(me int) {

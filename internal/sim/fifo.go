@@ -38,6 +38,15 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
+// Peek returns the head without removing it. It panics on an empty
+// queue.
+func (q *FIFO[T]) Peek() T {
+	if q.n == 0 {
+		panic("sim: Peek on empty FIFO")
+	}
+	return q.buf[q.head]
+}
+
 // grow doubles the storage (minimum 4), unrolling the ring so the head
 // lands at index 0.
 func (q *FIFO[T]) grow() {

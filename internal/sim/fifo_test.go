@@ -105,3 +105,34 @@ func TestFIFOPopEmptyPanics(t *testing.T) {
 	var q FIFO[int]
 	q.Pop()
 }
+
+// Peek returns the head across wraparound and growth without moving it,
+// and panics on an empty queue like Pop.
+func TestFIFOPeek(t *testing.T) {
+	var q FIFO[int]
+	for i := 0; i < 40; i++ {
+		q.Push(i)
+		if i%3 == 0 {
+			head := q.Peek()
+			if got := q.Pop(); got != head {
+				t.Fatalf("Peek = %d, then Pop = %d", head, got)
+			}
+		}
+		if q.Len() > 0 && q.Peek() != q.buf[q.head] {
+			t.Fatal("Peek is not the head slot")
+		}
+	}
+	n := q.Len()
+	if q.Peek(); q.Len() != n {
+		t.Fatal("Peek changed the length")
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Peek on an empty FIFO did not panic")
+		}
+	}()
+	q.Peek()
+}

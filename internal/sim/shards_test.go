@@ -59,7 +59,7 @@ func TestShardsValidation(t *testing.T) {
 					t.Errorf("NewShards(%d, la=%d) did not panic", tc.n, tc.la)
 				}
 			}()
-			NewShards(tc.n, 1, tc.la)
+			newFuncShards(tc.n, 1, tc.la)
 		}()
 	}
 }
@@ -69,7 +69,7 @@ func TestShardsConservativeDelivery(t *testing.T) {
 	// lookahead ahead — the tightest legal conservative schedule. The trace
 	// must interleave in timestamp order despite parallel rounds.
 	const la = 10
-	s := NewShards(2, 1, la)
+	s := newFuncShards(2, 1, la)
 	var trace []string
 	hops := 0
 	var hop func(src int)
@@ -101,7 +101,7 @@ func TestShardsConservativeDelivery(t *testing.T) {
 }
 
 func TestShardsSameShardPostIsDirect(t *testing.T) {
-	s := NewShards(2, 1, 5)
+	s := newFuncShards(2, 1, 5)
 	ran := false
 	s.Post(0, 0, 0, 3, func() { ran = true })
 	if pend := s.Engine(0).Pending(); pend != 1 {
@@ -117,7 +117,7 @@ func TestShardsRelaxedPostClampsToNow(t *testing.T) {
 	// A commutative bookkeeping post with a timestamp behind the receiver
 	// must still apply (clamped to the receiver's clock), not fire in the
 	// past or get lost.
-	s := NewShards(2, 1, 5)
+	s := newFuncShards(2, 1, 5)
 	var appliedAt Time = -1
 	s.Engine(1).At(50, func() {}) // receiver is ahead of the post's timestamp
 	s.Engine(0).At(60, func() {
@@ -140,7 +140,7 @@ func shardTrace(seed int64) string {
 		n  = 4
 		la = Duration(7)
 	)
-	s := NewShards(n, seed, la)
+	s := newFuncShards(n, seed, la)
 	traces := make([][]string, n)
 	var step func(me, from, depth int)
 	step = func(me, from, depth int) {
@@ -200,7 +200,7 @@ func TestShardsRepeatedRunWindows(t *testing.T) {
 		n  = 4
 		la = Duration(7)
 	)
-	s := NewShards(n, 7, la)
+	s := newFuncShards(n, 7, la)
 	traces := make([][]string, n)
 	var step func(me, from, depth int)
 	step = func(me, from, depth int) {
@@ -233,5 +233,48 @@ func TestShardsRepeatedRunWindows(t *testing.T) {
 	got := fmt.Sprintf("%v rounds>0=%v", traces, s.Rounds() > 0)
 	if got != one {
 		t.Fatalf("split windows diverged from continuous run\n got %s\nwant %s", got, one)
+	}
+}
+
+// newFuncShards is a coordinator whose messages are funcs, run on
+// delivery.
+func newFuncShards(n int, seed int64, la Duration) *Shards[func()] {
+	return NewShards(n, seed, la, func(fn func()) { fn() })
+}
+
+// TestShardsPostZeroAlloc checks that value messages cross the barrier
+// without allocating once the outboxes and delivery records are warm,
+// both between shards and within one. One message is in flight at a
+// time, so every round has a single busy shard and runs inline (rounds
+// with several busy shards start goroutines, which allocate).
+func TestShardsPostZeroAlloc(t *testing.T) {
+	const la = 10
+	type msg struct{ at, hops int }
+	var s *Shards[msg]
+	got := 0
+	s = NewShards(2, 1, la, func(m msg) {
+		got++
+		if m.hops == 0 {
+			return
+		}
+		to := m.at
+		if m.hops%2 == 0 {
+			to = 1 - m.at // every other hop crosses shards
+		}
+		now := s.Engine(m.at).Now()
+		s.Post(m.at, to, now, now+la, msg{to, m.hops - 1})
+	})
+	round := func() {
+		s.Post(0, 1, 0, s.Engine(0).Now()+la, msg{1, 8})
+		s.Run(s.Engine(0).Now() + 100*la)
+	}
+	round()
+	want := got
+	allocs := testing.AllocsPerRun(100, round)
+	if allocs != 0 {
+		t.Fatalf("a round of value posts allocates %.2f times, want 0", allocs)
+	}
+	if got != want*102 {
+		t.Fatalf("delivered %d messages, want %d", got, want*102)
 	}
 }

@@ -11,12 +11,12 @@ func BenchmarkSenderReceiverLoop(b *testing.B) {
 		for j := 0; j < 64 && s.CanSend(); j++ {
 			seq, _ := s.NextSend()
 			s.OnSent(seq, 0)
-			if _, ack := r.OnData(seq, false); ack != nil {
-				s.OnAck(*ack, 0)
+			if _, ack, ok := r.Receive(seq, false); ok {
+				s.OnAck(ack, 0)
 			}
 		}
-		if ack := r.FlushAck(); ack != nil {
-			s.OnAck(*ack, 0)
+		if ack, ok := r.TakeAck(); ok {
+			s.OnAck(ack, 0)
 		}
 	}
 }
@@ -26,9 +26,9 @@ func BenchmarkReceiverOutOfOrder(b *testing.B) {
 	var seq int64
 	for i := 0; i < b.N; i++ {
 		// Deliver 2 then 1 of every 3-segment group: one gap per group.
-		r.OnData(seq, false)
-		r.OnData(seq+2, false)
-		r.OnData(seq+1, false)
+		r.Receive(seq, false)
+		r.Receive(seq+2, false)
+		r.Receive(seq+1, false)
 		seq += 3
 	}
 }

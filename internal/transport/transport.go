@@ -286,11 +286,12 @@ func (r *Receiver) Stats() ReceiverStats { return r.stats }
 // RcvNxt returns the next expected segment.
 func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
 
-// OnData processes an arriving segment, returning how many segments were
-// newly delivered in order and the ACK to send, if any. Out-of-order and
-// duplicate arrivals generate an immediate (duplicate) ACK — this is the
-// mechanism that inflates the Tx ACK rate as drops increase (§2.2).
-func (r *Receiver) OnData(seq int64, ecnMarked bool) (delivered int64, ack *Ack) {
+// Receive processes an arriving segment, returning how many segments
+// were newly delivered in order and, when ok, the ACK to send.
+// Out-of-order and duplicate arrivals generate an immediate (duplicate)
+// ACK — this is the mechanism that inflates the Tx ACK rate as drops
+// increase (§2.2).
+func (r *Receiver) Receive(seq int64, ecnMarked bool) (delivered int64, ack Ack, ok bool) {
 	r.stats.Received++
 	if ecnMarked {
 		r.ecn = true
@@ -308,33 +309,53 @@ func (r *Receiver) OnData(seq int64, ecnMarked bool) (delivered int64, ack *Ack)
 		// ACK immediately when filling a gap (we had OOO data) or at the
 		// delayed-ACK threshold.
 		if r.pending >= r.p.AckEvery || len(r.ooo) > 0 || delivered > 1 {
-			return delivered, r.makeAck(false)
+			return delivered, r.makeAck(false), true
 		}
-		return delivered, nil
+		return delivered, Ack{}, false
 	case seq > r.rcvNxt:
 		r.stats.OutOfOrder++
 		r.ooo[seq] = true
-		return 0, r.makeAck(true)
+		return 0, r.makeAck(true), true
 	default:
 		// Duplicate of already-delivered data (spurious retransmit).
 		r.stats.Duplicates++
-		return 0, r.makeAck(true)
+		return 0, r.makeAck(true), true
 	}
 }
 
-func (r *Receiver) makeAck(dup bool) *Ack {
+func (r *Receiver) makeAck(dup bool) Ack {
 	r.stats.AcksSent++
 	r.pending = 0
-	a := &Ack{CumAck: r.rcvNxt, ECNEcho: r.ecn, Dup: dup}
+	a := Ack{CumAck: r.rcvNxt, ECNEcho: r.ecn, Dup: dup}
 	r.ecn = false
 	return a
 }
 
-// FlushAck forces a delayed ACK out (host calls this on a delayed-ACK
-// timer when traffic pauses).
-func (r *Receiver) FlushAck() *Ack {
+// TakeAck forces a delayed ACK out (host calls this on a delayed-ACK
+// timer when traffic pauses). ok is false when nothing is pending.
+func (r *Receiver) TakeAck() (ack Ack, ok bool) {
 	if r.pending == 0 {
+		return Ack{}, false
+	}
+	return r.makeAck(false), true
+}
+
+// OnData is Receive with the ACK returned as a fresh pointer, nil when
+// there is none. The datapath uses Receive, which allocates nothing.
+func (r *Receiver) OnData(seq int64, ecnMarked bool) (delivered int64, ack *Ack) {
+	delivered, a, ok := r.Receive(seq, ecnMarked)
+	if !ok {
+		return delivered, nil
+	}
+	return delivered, &a
+}
+
+// FlushAck is TakeAck with the ACK returned as a fresh pointer, nil
+// when there is none.
+func (r *Receiver) FlushAck() *Ack {
+	a, ok := r.TakeAck()
+	if !ok {
 		return nil
 	}
-	return r.makeAck(false)
+	return &a
 }

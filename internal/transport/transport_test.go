@@ -162,15 +162,17 @@ func TestReceiverInOrderDelivery(t *testing.T) {
 	r := NewReceiver(Params{AckEvery: 4})
 	var acks int
 	for i := int64(0); i < 8; i++ {
-		d, ack := r.OnData(i, false)
+		d, ack, ok := r.Receive(i, false)
 		if d != 1 {
 			t.Fatalf("delivered = %d, want 1", d)
 		}
-		if ack != nil {
+		if ok {
 			acks++
 			if ack.CumAck != i+1 || ack.Dup {
 				t.Fatalf("ack = %+v", ack)
 			}
+		} else if ack != (Ack{}) {
+			t.Fatalf("no ACK but a non-zero Ack %+v", ack)
 		}
 	}
 	if acks != 2 {
@@ -180,30 +182,30 @@ func TestReceiverInOrderDelivery(t *testing.T) {
 
 func TestReceiverOutOfOrderDupAck(t *testing.T) {
 	r := NewReceiver(Params{AckEvery: 100})
-	r.OnData(0, false)
-	d, ack := r.OnData(2, false) // gap at 1
+	r.Receive(0, false)
+	d, ack, ok := r.Receive(2, false) // gap at 1
 	if d != 0 {
 		t.Fatal("out-of-order segment delivered")
 	}
-	if ack == nil || !ack.Dup || ack.CumAck != 1 {
-		t.Fatalf("ack = %+v, want dup ack for 1", ack)
+	if !ok || !ack.Dup || ack.CumAck != 1 {
+		t.Fatalf("ack = %+v (ok %v), want dup ack for 1", ack, ok)
 	}
 	// Filling the gap delivers both and acks immediately.
-	d, ack = r.OnData(1, false)
+	d, ack, ok = r.Receive(1, false)
 	if d != 2 {
 		t.Fatalf("delivered = %d, want 2", d)
 	}
-	if ack == nil || ack.CumAck != 3 {
-		t.Fatalf("ack = %+v, want cumack 3", ack)
+	if !ok || ack.CumAck != 3 {
+		t.Fatalf("ack = %+v (ok %v), want cumack 3", ack, ok)
 	}
 }
 
 func TestReceiverDuplicateSegment(t *testing.T) {
 	r := NewReceiver(Params{AckEvery: 100})
-	r.OnData(0, false)
-	d, ack := r.OnData(0, false)
-	if d != 0 || ack == nil || !ack.Dup {
-		t.Fatalf("duplicate handling: d=%d ack=%+v", d, ack)
+	r.Receive(0, false)
+	d, ack, ok := r.Receive(0, false)
+	if d != 0 || !ok || !ack.Dup {
+		t.Fatalf("duplicate handling: d=%d ack=%+v ok=%v", d, ack, ok)
 	}
 	if r.Stats().Duplicates != 1 {
 		t.Fatal("duplicate not counted")
@@ -212,31 +214,80 @@ func TestReceiverDuplicateSegment(t *testing.T) {
 
 func TestReceiverECNEcho(t *testing.T) {
 	r := NewReceiver(Params{AckEvery: 2})
-	r.OnData(0, true) // marked, no ack yet
-	_, ack := r.OnData(1, false)
-	if ack == nil || !ack.ECNEcho {
-		t.Fatalf("ack = %+v, want ECN echo", ack)
+	r.Receive(0, true) // marked, no ack yet
+	_, ack, ok := r.Receive(1, false)
+	if !ok || !ack.ECNEcho {
+		t.Fatalf("ack = %+v (ok %v), want ECN echo", ack, ok)
 	}
 	// Echo is cleared after being sent.
-	r.OnData(2, false)
-	_, ack = r.OnData(3, false)
-	if ack == nil || ack.ECNEcho {
-		t.Fatalf("ack = %+v, want echo cleared", ack)
+	r.Receive(2, false)
+	_, ack, ok = r.Receive(3, false)
+	if !ok || ack.ECNEcho {
+		t.Fatalf("ack = %+v (ok %v), want echo cleared", ack, ok)
 	}
 }
 
 func TestReceiverFlushAck(t *testing.T) {
 	r := NewReceiver(Params{AckEvery: 100})
-	if r.FlushAck() != nil {
+	if _, ok := r.TakeAck(); ok {
 		t.Fatal("flush with nothing pending returned an ack")
 	}
-	r.OnData(0, false)
-	ack := r.FlushAck()
-	if ack == nil || ack.CumAck != 1 {
-		t.Fatalf("flush ack = %+v", ack)
+	r.Receive(0, false)
+	ack, ok := r.TakeAck()
+	if !ok || ack.CumAck != 1 {
+		t.Fatalf("flush ack = %+v (ok %v)", ack, ok)
 	}
-	if r.FlushAck() != nil {
+	if _, ok := r.TakeAck(); ok {
 		t.Fatal("second flush returned an ack")
+	}
+}
+
+// OnData and FlushAck are Receive and TakeAck with pointer results: the
+// same ACKs, nil where the value forms say !ok, and a fresh pointer per
+// ACK.
+func TestReceiverPointerFormsMatchValueForms(t *testing.T) {
+	v := NewReceiver(Params{AckEvery: 3})
+	p := NewReceiver(Params{AckEvery: 3})
+	var prev *Ack
+	for _, seq := range []int64{0, 1, 3, 2, 2, 4, 5, 7, 6} {
+		dv, av, ok := v.Receive(seq, seq%2 == 0)
+		dp, ap := p.OnData(seq, seq%2 == 0)
+		if dv != dp || ok != (ap != nil) || (ok && *ap != av) {
+			t.Fatalf("seq %d: Receive = (%d, %+v, %v), OnData = (%d, %v)", seq, dv, av, ok, dp, ap)
+		}
+		if ap != nil && ap == prev {
+			t.Fatal("OnData reused an ACK pointer")
+		}
+		if ap != nil {
+			prev = ap
+		}
+	}
+	v.Receive(8, false)
+	p.OnData(8, false)
+	av, ok := v.TakeAck()
+	ap := p.FlushAck()
+	if !ok || ap == nil || *ap != av {
+		t.Fatalf("TakeAck = (%+v, %v), FlushAck = %v", av, ok, ap)
+	}
+	if p.FlushAck() != nil {
+		t.Fatal("FlushAck with nothing pending returned an ack")
+	}
+}
+
+// TestReceiverZeroAlloc: in-order delivery and delayed-ACK flushes
+// build their ACKs on the stack.
+func TestReceiverZeroAlloc(t *testing.T) {
+	r := NewReceiver(Params{AckEvery: 4})
+	var seq int64
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 5; i++ {
+			r.Receive(seq, i == 2)
+			seq++
+		}
+		r.TakeAck()
+	})
+	if allocs != 0 {
+		t.Fatalf("Receive/TakeAck allocate %.2f times per round, want 0", allocs)
 	}
 }
 
@@ -266,12 +317,12 @@ func TestPropertyReliableDelivery(t *testing.T) {
 					continue
 				}
 				prev := r.RcvNxt()
-				_, ack := r.OnData(seq, false)
+				_, ack, ok := r.Receive(seq, false)
 				if r.RcvNxt() < prev {
 					return false
 				}
-				if ack != nil {
-					s.OnAck(*ack, now)
+				if ok {
+					s.OnAck(ack, now)
 				}
 			}
 		}
