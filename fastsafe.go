@@ -171,7 +171,8 @@ type DeviceOptions struct {
 	RateGBps float64
 }
 
-// validate rejects nonsense before it panics deep inside host.New.
+// validate rejects the facade's own nonsense before any simulation is
+// built; host.New validates the fields it receives itself.
 func (o Options) validate() error {
 	if o.Mode != "" {
 		if _, err := modespec.Host(string(o.Mode)); err != nil {
@@ -181,22 +182,8 @@ func (o Options) validate() error {
 	switch {
 	case o.Flows < 0:
 		return fmt.Errorf("fastsafe: Flows must be >= 0, got %d", o.Flows)
-	case o.TxFlows < 0:
-		return fmt.Errorf("fastsafe: TxFlows must be >= 0, got %d", o.TxFlows)
-	case o.Cores < 0:
-		return fmt.Errorf("fastsafe: Cores must be >= 0, got %d", o.Cores)
-	case o.RingPackets < 0:
-		return fmt.Errorf("fastsafe: RingPackets must be >= 0, got %d", o.RingPackets)
-	case o.MTU < 0:
-		return fmt.Errorf("fastsafe: MTU must be >= 0, got %d", o.MTU)
-	case o.MTU > 0 && o.MTU < 64:
-		return fmt.Errorf("fastsafe: MTU must be at least 64 bytes, got %d", o.MTU)
 	case o.Seed < 0:
 		return fmt.Errorf("fastsafe: Seed must be >= 0, got %d", o.Seed)
-	case o.MemHogGBps < 0:
-		return fmt.Errorf("fastsafe: MemHogGBps must be >= 0, got %g", o.MemHogGBps)
-	case o.MemHogStartMS < 0:
-		return fmt.Errorf("fastsafe: MemHogStartMS must be >= 0, got %d", o.MemHogStartMS)
 	case o.SampleUS < 0:
 		return fmt.Errorf("fastsafe: SampleUS must be >= 0, got %d", o.SampleUS)
 	case o.WarmupMS < 0:

@@ -466,9 +466,9 @@ func Model(o Options) Table {
 	return t
 }
 
-// Deferred compares the safety/performance trade-off across all modes —
+// Modes compares the safety/performance trade-off across all modes —
 // an extension table beyond the paper's figures.
-func Deferred(o Options) Table {
+func Modes(o Options) Table {
 	t := Table{ID: "modes", Title: "All protection modes, default iperf (extension)",
 		Header: []string{"mode", "strict_safety", "rx_gbps", "reads/pg", "inv_reqs", "stale_uses"}}
 	modes := core.Modes()
@@ -1507,7 +1507,7 @@ var figures = []struct {
 	{"fig7", Fig7}, {"fig7e", Fig7e}, {"fig8", Fig8}, {"fig8e", Fig8e},
 	{"fig9", Fig9}, {"fig10", Fig10},
 	{"fig11a", Fig11a}, {"fig11b", Fig11b}, {"fig11c", Fig11c},
-	{"fig12", Fig12}, {"model", Model}, {"modes", Deferred},
+	{"fig12", Fig12}, {"model", Model}, {"modes", Modes},
 	{"descsize", DescriptorSizes}, {"ptcache", CacheSizes}, {"huge", Hugepages},
 	{"memlat", MemoryLatency}, {"seeds", Seeds}, {"storage", Storage},
 	{"multidev", Multidev}, {"memhog", MemoryHog}, {"timeline", Timeline},

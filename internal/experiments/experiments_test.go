@@ -333,8 +333,8 @@ func TestParallelFigureMatchesSerial(t *testing.T) {
 	serialOpts.Parallel = 1
 	parOpts := tiny()
 	parOpts.Parallel = 8
-	serial := Deferred(serialOpts)
-	par := Deferred(parOpts)
+	serial := Modes(serialOpts)
+	par := Modes(parOpts)
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("parallel table diverges from serial:\n%s\nvs\n%s", par, serial)
 	}

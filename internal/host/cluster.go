@@ -59,7 +59,7 @@ type ClusterConfig struct {
 	// Op selects the verb every flow uses: SendRecv (the zero value)
 	// runs the two-sided peer flows; Read/Write run one-sided RDMA flows
 	// through the remote NIC's registered memory window instead — the
-	// remote CPU leaves the per-packet path entirely (see rdma.go).
+	// remote CPU leaves the per-packet path entirely (see flow.go).
 	Op transport.Op
 
 	// Shards partitions the hosts across that many engine shards run
@@ -181,6 +181,10 @@ func (r clusterRouter) PostCore(src int, gen, at sim.Time, h fabric.Hop) {
 // traffic pattern calls for.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg = cfg.withDefaults()
+	// Validate before defaults repair the host fields every host inherits.
+	if err := cfg.Host.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Hosts < 2 {
 		return nil, fmt.Errorf("host: a cluster needs at least 2 hosts, got %d", cfg.Hosts)
 	}
@@ -295,13 +299,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		for k := 0; k < cfg.FlowsPerPair; k++ {
 			srcCPU := src.cfg.Cores + src.cfg.TxFlows + out[p[0]]%src.cfg.PeerSlots
 			dstCPU := in[p[1]] % dst.cfg.Cores
-			if cfg.Op.OneSided() {
-				src.ConnectRDMA(dst, sw.Port(p[0]), sw.Port(p[1]), cfg.Op,
-					flowID, srcCPU, dstCPU, sim.Time(flowID)*sim.Microsecond)
-			} else {
-				src.ConnectPeer(dst, sw.Port(p[0]), sw.Port(p[1]),
-					flowID, srcCPU, dstCPU, sim.Time(flowID)*sim.Microsecond)
-			}
+			src.connect(dst, sw.Port(p[0]), sw.Port(p[1]), cfg.Op,
+				flowID, srcCPU, dstCPU, sim.Time(flowID)*sim.Microsecond)
 			out[p[0]]++
 			in[p[1]]++
 			flowID++

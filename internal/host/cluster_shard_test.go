@@ -35,7 +35,7 @@ func shardTestConfig(hosts, shards int, traffic TrafficPattern) ClusterConfig {
 // float precision — the exact comparison key the determinism tests use.
 // Timeline series are excluded: a sharded run's mid-window sampler can
 // observe the sender-side Tx mirror credit a barrier later than the
-// shared-engine run does (see netDev.creditPeerTx) — timeline determinism
+// shared-engine run does (see netDev.creditTx) — timeline determinism
 // across GOMAXPROCS is asserted separately.
 func resultsKey(h Results) string {
 	var b strings.Builder

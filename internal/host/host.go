@@ -159,6 +159,35 @@ type StorageSpec struct {
 	Mode       *core.Mode // protection mode (nil = host Config.Mode)
 }
 
+// validate rejects a Config no default can repair. Zero fields take the
+// defaults and RxFlows -1 means no bulk Rx flows, but a negative count
+// would silently shrink the cores, rings and domains sized from it.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Cores", c.Cores},
+		{"TxFlows", c.TxFlows},
+		{"RingPackets", c.RingPackets},
+		{"DescriptorPages", c.DescriptorPages},
+		{"PeerSlots", c.PeerSlots},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("host: %s must be >= 0, got %d", f.name, f.v)
+		}
+	}
+	switch {
+	case c.MTU != 0 && c.MTU < 64:
+		return fmt.Errorf("host: MTU must be 0 (the default) or at least 64 bytes, got %d", c.MTU)
+	case c.MemHogGBps < 0:
+		return fmt.Errorf("host: MemHogGBps must be >= 0, got %g", c.MemHogGBps)
+	case c.MemHogStart < 0:
+		return fmt.Errorf("host: MemHogStart must be >= 0, got %dns", c.MemHogStart)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Cores <= 0 {
 		c.Cores = 5
@@ -276,6 +305,9 @@ type Host struct {
 // New builds the host per cfg. Additional cores are created on demand for
 // Tx flows, app streams and co-tenant devices.
 func New(cfg Config) (*Host, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	eng := cfg.Engine
 	if eng == nil {
@@ -550,22 +582,4 @@ func (h *Host) housekeeping() {
 		n.deferredFlush(now)
 	}
 	h.eng.After(200*sim.Microsecond, h.housekeepingFn)
-}
-
-// DebugFlows reports mean cwnd, mean alpha, mean inflight and total
-// timeouts/retransmits across the primary NIC's bulk Rx flows
-// (diagnostics).
-func (h *Host) DebugFlows() (cwnd, alpha, inflight float64, timeouts, rtx int64) {
-	n := float64(len(h.net.rxFlows))
-	if n == 0 {
-		return
-	}
-	for _, f := range h.net.rxFlows {
-		cwnd += f.snd.Cwnd()
-		alpha += f.snd.Alpha()
-		inflight += float64(f.snd.Inflight())
-		timeouts += f.snd.Stats().Timeouts
-		rtx += f.snd.Stats().Retransmits
-	}
-	return cwnd / n, alpha / n, inflight / n, timeouts, rtx
 }

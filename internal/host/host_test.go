@@ -1,6 +1,7 @@
 package host
 
 import (
+	"strings"
 	"testing"
 
 	"fastsafe/internal/core"
@@ -577,5 +578,38 @@ func TestDDIOReducesMemoryPressure(t *testing.T) {
 	}
 	if d := ddio.ReadsPerPage - base.ReadsPerPage; d > 0.1 || d < -0.1 {
 		t.Fatalf("DDIO changed IOMMU behaviour: reads/pg %.2f vs %.2f", ddio.ReadsPerPage, base.ReadsPerPage)
+	}
+}
+
+// New rejects every Config field no default can repair with an error
+// naming the field, and accepts the documented sentinels.
+func TestConfigValidation(t *testing.T) {
+	bad := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"negative tx flows", Config{TxFlows: -3}, "TxFlows"},
+		{"negative cores", Config{Cores: -2}, "Cores"},
+		{"negative ring", Config{RingPackets: -256}, "RingPackets"},
+		{"negative descriptor", Config{DescriptorPages: -64}, "DescriptorPages"},
+		{"negative peer slots", Config{PeerSlots: -1}, "PeerSlots"},
+		{"negative mtu", Config{MTU: -1}, "MTU"},
+		{"tiny mtu", Config{MTU: 10}, "at least 64"},
+		{"negative hog", Config{MemHogGBps: -1.5}, "MemHogGBps"},
+		{"negative hog start", Config{MemHogStart: -sim.Millisecond}, "MemHogStart"},
+	}
+	for _, c := range bad {
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+		if _, err := NewCluster(ClusterConfig{Hosts: 2, Host: c.cfg}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: cluster err = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	for _, cfg := range []Config{{}, {RxFlows: -1}, {MTU: 64}} {
+		if _, err := New(cfg); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
 	}
 }

@@ -91,7 +91,6 @@ type msgApp struct {
 
 	completed      int64
 	completedBytes int64
-	inPayloadBytes int64 // payload bytes landed at the local host
 	retries        int64
 }
 
@@ -242,7 +241,6 @@ func (a *msgApp) Run(it *device.Item) sim.Duration {
 		}
 		if a.assemble(s.localSeen, seg) {
 			s.answered[seg.Seq] = true
-			a.inPayloadBytes += int64(a.cfg.ReqBytes)
 			cost += a.cfg.AppCPU
 			cost += a.respond(s, seg.Seq)
 		}
@@ -255,7 +253,6 @@ func (a *msgApp) Run(it *device.Item) sim.Duration {
 			return cost // stale segment of a completed exchange
 		}
 		if a.assemble(s.localSeen, seg) {
-			a.inPayloadBytes += int64(a.cfg.RespBytes)
 			cost += a.cfg.AppCPU
 			a.complete(s, slot, int64(a.cfg.RespBytes))
 		}
@@ -354,7 +351,3 @@ func (a *msgApp) housekeeping(now sim.Time) {
 		}
 	}
 }
-
-// InboundPayload returns cumulative message payload bytes landed at the
-// local host (requests under LocalServes, responses under LocalClient).
-func (a *msgApp) InboundPayload() int64 { return a.inPayloadBytes }

@@ -66,48 +66,18 @@ func (s NICSpec) resolve(cfg Config) NICSpec {
 	return s
 }
 
-// rxFlow couples a remote DCTCP sender with a local receiver.
-type rxFlow struct {
-	id         int
-	cpu        int                 // device-local core index
-	snd        *transport.Sender   // remote end
-	rcv        *transport.Receiver // local end
-	flushArmed bool                // delayed-ACK timer pending
-	// pumpFn and flushFn are the flow's start kick and delayed-ACK
-	// timer, bound once.
-	pumpFn, flushFn func()
-}
-
-// txFlow couples a local DCTCP sender with a remote receiver.
-type txFlow struct {
-	id  int
-	cpu int                 // device-local core index
-	snd *transport.Sender   // local end
-	rcv *transport.Receiver // remote end
-	// sendQueued bounds the CPU-queue work outstanding for this flow.
-	sendQueued      int
-	flushArmed      bool // delayed-ACK timer pending at the remote receiver
-	pumpFn, flushFn func()
-}
-
 // Packet kinds. A packet's Flow indexes the flow table of the endpoint
 // handling it; Seq is a segment's sequence number, an ACK's cumulative
 // point, or a message's id.
 const (
-	dataSeg  packet.Kind = iota + 1 // remote -> local bulk data
-	ackOut                          // local ACK leaving for the remote sender
-	txData                          // local bulk data leaving for the remote receiver
-	txAckIn                         // remote ACK arriving for a local sender
-	peerData                        // bulk data between cluster hosts, src -> dst
-	peerAck                         // its ACK, dst -> src
-	rdmaData                        // one-sided frame, data source -> sink window
+	flowData packet.Kind = iota + 1 // a flow's data segment, sender -> receiver
+	flowAck                         // its ACK, receiver -> sender
 	rdmaReq                         // READ work request, sink -> source
-	rdmaAck                         // hardware ACK, sink -> source
 	msgSeg                          // request/response message segment
 	serveSeg                        // serving-fleet request or response segment
 
 	// Core work that is not a packet. unmapTx releases a Tx mapping;
-	// remapMR re-points a sink window chunk (Flow: rdmaRx index, Seq:
+	// remapMR re-points a sink window chunk (Flow: the sink's flow index, Seq:
 	// chunk slot); connMap maps a serving connection's buffer (Flow:
 	// connection).
 	unmapTx
@@ -125,8 +95,8 @@ const (
 )
 
 // ackPacket is an ACK header: Seq is the cumulative point.
-func ackPacket(kind packet.Kind, cpu, flow int, ack transport.Ack) packet.Packet {
-	p := packet.Packet{Kind: kind, CPU: uint16(cpu), Bytes: 64, Flow: int32(flow)}
+func ackPacket(cpu, flow int, ack transport.Ack) packet.Packet {
+	p := packet.Packet{Kind: flowAck, CPU: uint16(cpu), Bytes: 64, Flow: int32(flow)}
 	setAck(&p, ack)
 	return p
 }
@@ -184,19 +154,10 @@ type netDev struct {
 	toLocal  *Wire // remote -> local
 	toRemote *Wire // local -> remote
 
-	rxFlows []*rxFlow
-	txFlows []*txFlow
-
-	// Cluster peer flows (see peer.go): peerTx holds flows whose sender
-	// lives on this host, peerRx flows whose receiver does. Both empty in
-	// single-host runs.
-	peerTx []*peerFlow
-	peerRx []*peerFlow
-
-	// One-sided RDMA flows (see rdma.go): rdmaTx holds flows whose data
-	// source is this host, rdmaRx flows whose sink window is.
-	rdmaTx []*rdmaFlow
-	rdmaRx []*rdmaFlow
+	// flows holds every flow with an end behind this NIC (see flow.go),
+	// in creation order: the single-host Rx then Tx flows, whose both
+	// ends sit here, or the cluster flows this host sends or receives.
+	flows []*flow
 
 	lastDeferredFlush sim.Time
 
@@ -303,71 +264,33 @@ func (n *netDev) Attach(dh device.Host) error {
 	dev.OnDeliver = n.onDeliver
 	dev.OnTxDone = n.onTxDone
 
-	// Legacy bulk flows terminate at the abstract remote host: the local
-	// state machine binds (host, AbstractPeer), its far end the mirror.
-	local := transport.Endpoint{Host: h.cfg.HostID, Peer: transport.AbstractPeer}
-	remote := transport.Endpoint{Host: transport.AbstractPeer, Peer: h.cfg.HostID}
+	// The bulk flows run between the abstract remote host and this NIC's
+	// cores, over the wire pair: Rx flows from the remote, Tx flows to it.
 	for i := 0; i < n.spec.RxFlows; i++ {
-		f := &rxFlow{
-			id:  i,
-			cpu: i % n.spec.Cores,
-			snd: transport.NewSender(cfg.Transport),
-			rcv: transport.NewReceiver(cfg.Transport),
-		}
-		f.snd.Bind(remote)
-		f.rcv.Bind(local)
-		f.pumpFn = func() { n.pumpRxFlow(f) }
-		f.flushFn = func() {
-			f.flushArmed = false
-			if ack, ok := f.rcv.TakeAck(); ok {
-				n.sendLocalAck(f.cpu, f.id, ack)
-			}
-		}
-		n.rxFlows = append(n.rxFlows, f)
+		cpu := i % n.spec.Cores
+		newFlow(fmt.Sprintf("flow%d", i), transport.SendRecv, cfg.Transport, n.spec.MTU,
+			flowEnd{kind: abstractEnd, n: n, cpu: cpu}, flowEnd{kind: stackEnd, n: n, cpu: cpu},
+			sim.Time(i)*sim.Microsecond)
 	}
 	for j := 0; j < n.spec.TxFlows; j++ {
-		f := &txFlow{
-			id:  j,
-			cpu: n.spec.Cores + j,
-			snd: transport.NewSender(cfg.Transport),
-			rcv: transport.NewReceiver(cfg.Transport),
-		}
-		f.snd.Bind(local)
-		f.rcv.Bind(remote)
-		f.pumpFn = func() { n.pumpTxFlow(f) }
-		f.flushFn = func() {
-			f.flushArmed = false
-			if ack, ok := f.rcv.TakeAck(); ok {
-				n.remoteAckToLocal(f, ack)
-			}
-		}
-		n.txFlows = append(n.txFlows, f)
+		cpu := n.spec.Cores + j
+		newFlow(fmt.Sprintf("txflow%d", j), transport.SendRecv, cfg.Transport, n.spec.MTU,
+			flowEnd{kind: stackEnd, n: n, cpu: cpu}, flowEnd{kind: abstractEnd, n: n, cpu: cpu},
+			sim.Time(j)*sim.Microsecond)
 	}
 	return nil
 }
 
-// Start implements device.Device: launch the configured bulk flows.
+// Start implements device.Device: launch the flows this NIC sends. A
+// READ instead starts at its sink, which posts the work request that
+// kicks the source remotely.
 func (n *netDev) Start() {
-	for i, f := range n.rxFlows {
-		n.h.eng.At(sim.Time(i)*sim.Microsecond, f.pumpFn)
-	}
-	for j, f := range n.txFlows {
-		n.h.eng.At(sim.Time(j)*sim.Microsecond, f.pumpFn)
-	}
-	for _, f := range n.peerTx {
-		n.h.eng.At(f.start, f.pumpFn)
-	}
-	// WRITE streams from the source at start; READ first posts the work
-	// request from the initiating sink, which kicks the source remotely.
-	for _, f := range n.rdmaTx {
-		if f.op != transport.Read {
+	for _, f := range n.flows {
+		switch {
+		case f.src.n == n && f.op != transport.Read:
 			n.h.eng.At(f.start, f.pumpFn)
-		}
-	}
-	for _, f := range n.rdmaRx {
-		if f.op == transport.Read {
-			f := f
-			n.h.eng.At(f.start, func() { n.postRdmaRead(f) })
+		case f.dst.n == n && f.op == transport.Read:
+			n.h.eng.At(f.start, f.postRead)
 		}
 	}
 }
@@ -387,42 +310,24 @@ func (n *netDev) stackCost() sim.Duration {
 }
 
 // flowHousekeeping fires RTO checks and delayed-ACK flushes for this
-// NIC's flows.
+// NIC's flows. A flow with both ends here (the wire pair) checks its
+// sender's timer, then flushes its receiver; a cluster host checks its
+// senders first, then flushes its receivers.
 func (n *netDev) flowHousekeeping(now sim.Time) {
-	for _, f := range n.rxFlows {
+	for _, f := range n.flows {
+		if f.src.n != n {
+			continue
+		}
 		if f.snd.MaybeTimeout(now) {
-			n.pumpRxFlow(f)
+			f.pump()
 		}
-		if ack, ok := f.rcv.TakeAck(); ok {
-			n.sendLocalAck(f.cpu, f.id, ack)
-		}
-	}
-	for _, f := range n.txFlows {
-		if f.snd.MaybeTimeout(now) {
-			n.pumpTxFlow(f)
-		}
-		if ack, ok := f.rcv.TakeAck(); ok {
-			n.remoteAckToLocal(f, ack)
+		if f.dst.n == n {
+			f.flush()
 		}
 	}
-	for _, f := range n.peerTx {
-		if f.snd.MaybeTimeout(now) {
-			n.pumpPeerFlow(f)
-		}
-	}
-	for _, f := range n.peerRx {
-		if ack, ok := f.rcv.TakeAck(); ok {
-			n.sendPeerAck(f, ack)
-		}
-	}
-	for _, f := range n.rdmaTx {
-		if f.snd.MaybeTimeout(now) {
-			n.pumpRdmaFlow(f)
-		}
-	}
-	for _, f := range n.rdmaRx {
-		if ack, ok := f.rcv.TakeAck(); ok {
-			n.sendRdmaAck(f, ack)
+	for _, f := range n.flows {
+		if f.dst.n == n && f.src.n != n {
+			f.flush()
 		}
 	}
 }
@@ -439,61 +344,6 @@ func (n *netDev) deferredFlush(now sim.Time) {
 	}
 }
 
-// pumpRxFlow lets the remote sender of flow f transmit while its window
-// allows. The remote host's CPU is not modelled (it is never the
-// bottleneck in the paper's receive-side experiments).
-func (n *netDev) pumpRxFlow(f *rxFlow) {
-	for f.snd.CanSend() {
-		seq, _ := f.snd.NextSend()
-		f.snd.OnSent(seq, n.h.eng.Now())
-		n.toLocal.Send(packet.Packet{Kind: dataSeg, CPU: uint16(f.cpu), Bytes: int32(n.spec.MTU),
-			Flow: int32(f.id), Seq: seq}, n.dev)
-	}
-}
-
-// pumpTxFlow lets a local sender enqueue packets: each transmission costs
-// CPU (stack + Tx mapping) and then a NIC Tx DMA.
-func (n *netDev) pumpTxFlow(f *txFlow) {
-	for f.snd.CanSend() && f.sendQueued < 64 {
-		seq, _ := f.snd.NextSend()
-		f.snd.OnSent(seq, n.h.eng.Now())
-		f.sendQueued++
-		n.post(f.cpu, device.Item{Task: n.prep(), Pkt: packet.Packet{Kind: txData, CPU: uint16(f.cpu),
-			Bytes: int32(n.spec.MTU), Flow: int32(f.id), Seq: seq}})
-	}
-}
-
-// armRxFlush schedules a delayed-ACK flush for a local receiver, modelling
-// the ACK a real stack emits at the end of a NAPI batch.
-func (n *netDev) armRxFlush(f *rxFlow) {
-	if f.flushArmed {
-		return
-	}
-	f.flushArmed = true
-	n.h.eng.After(n.h.cfg.DelAck, f.flushFn)
-}
-
-// armTxFlush is armRxFlush's counterpart at the abstract remote receiver.
-func (n *netDev) armTxFlush(f *txFlow) {
-	if f.flushArmed {
-		return
-	}
-	f.flushArmed = true
-	n.h.eng.After(n.h.cfg.DelAck, f.flushFn)
-}
-
-// sendLocalAck emits an ACK for rx flow id from the device-local core
-// cpu: CPU work to build and map it, then a NIC Tx DMA.
-func (n *netDev) sendLocalAck(cpu, flow int, ack transport.Ack) {
-	n.post(cpu, device.Item{Task: n.prep(), Pkt: ackPacket(ackOut, cpu, flow, ack)})
-}
-
-// remoteAckToLocal carries a remote receiver's ACK back into the local
-// host, where it arrives like any other packet (through the Rx datapath).
-func (n *netDev) remoteAckToLocal(f *txFlow, ack transport.Ack) {
-	n.toLocal.Send(ackPacket(txAckIn, f.cpu, f.id, ack), n.dev)
-}
-
 // onDeliver handles a packet whose DMA into local memory completed.
 func (n *netDev) onDeliver(pkt nic.Packet) {
 	h := n.h
@@ -502,22 +352,24 @@ func (n *netDev) onDeliver(pkt nic.Packet) {
 	if !h.cfg.DDIO {
 		h.bus.Consume(int(pkt.Bytes))
 	}
-	// One-sided writes land in application memory with no stack or
+	// One-sided data lands in application memory with no stack or
 	// application copy; everything else pays the copy in and out.
-	if pkt.Kind != rdmaData {
+	oneSided := pkt.Kind == flowData && n.flows[pkt.Flow].dst.kind == nicEnd
+	if !oneSided {
 		h.bus.Consume(2 * int(pkt.Bytes))
 	}
 	switch pkt.Kind {
-	case dataSeg:
-		n.deliverToCore(n.rxFlows[pkt.Flow].cpu, pkt)
-	case txAckIn:
-		n.post(n.txFlows[pkt.Flow].cpu, device.Item{Task: n, Pkt: pkt})
-	case peerData:
-		n.deliverToCore(n.peerRx[pkt.Flow].dstCPU, pkt)
-	case peerAck:
-		n.post(n.peerTx[pkt.Flow].srcCPU, device.Item{Task: n, Pkt: pkt})
-	case rdmaData:
-		n.rdmaDataDelivered(pkt)
+	case flowData:
+		if oneSided {
+			n.flows[pkt.Flow].receive(pkt)
+			return
+		}
+		// Stack processing on the receiving core, with an interrupt when
+		// the core is idle.
+		n.post(int(pkt.CPU), device.Item{Task: n, Pkt: h.withIRQ(n.cpuBase+int(pkt.CPU), pkt)})
+	case flowAck:
+		// An ACK is not charged an interrupt.
+		n.post(int(pkt.CPU), device.Item{Task: n, Pkt: pkt})
 	case msgSeg:
 		h.msgs.onDeliver(pkt)
 	case serveSeg:
@@ -527,34 +379,20 @@ func (n *netDev) onDeliver(pkt nic.Packet) {
 	}
 }
 
-// deliverToCore queues a data segment's stack processing on device-local
-// core cpu.
-func (n *netDev) deliverToCore(cpu int, pkt packet.Packet) {
-	n.post(cpu, device.Item{Task: n, Pkt: n.h.withIRQ(n.cpuBase+cpu, pkt)})
-}
-
 // Run implements device.Task for received packets and driver chores.
 func (n *netDev) Run(it *device.Item) sim.Duration {
 	h := n.h
 	pkt := it.Pkt
 	switch pkt.Kind {
-	case dataSeg:
-		f := n.rxFlows[pkt.Flow]
+	case flowData:
+		f := n.flows[pkt.Flow]
 		cost := h.irqCost(pkt) + n.stackCost()
 		delivered, ack, ok := f.rcv.Receive(pkt.Seq, pkt.ECN())
-		n.c.rxDeliveredBytes += delivered * int64(n.spec.MTU)
+		f.delivered(delivered)
 		recordAck(it, ack, ok)
 		return cost
-	case txAckIn:
-		n.txFlows[pkt.Flow].snd.OnAck(ackOf(pkt), h.eng.Now())
-		return h.cfg.AckRxCost
-	case peerData:
-		return n.peerDataRun(it)
-	case peerAck:
-		n.peerTx[pkt.Flow].snd.OnAck(ackOf(pkt), h.eng.Now())
-		return h.cfg.AckRxCost
-	case rdmaAck:
-		n.rdmaTx[pkt.Flow].snd.OnAck(ackOf(pkt), h.eng.Now())
+	case flowAck:
+		n.flows[pkt.Flow].snd.OnAck(ackOf(pkt), h.eng.Now())
 		return h.cfg.AckRxCost
 	case unmapTx:
 		cost, err := n.dom.UnmapTx(it.M)
@@ -563,7 +401,7 @@ func (n *netDev) Run(it *device.Item) sim.Duration {
 		}
 		return cost
 	case remapMR:
-		cost, err := n.dom.RemapRxDescriptor(n.rdmaRx[pkt.Flow].dstMR.chunks[pkt.Seq])
+		cost, err := n.dom.RemapRxDescriptor(n.flows[pkt.Flow].dst.mr.chunks[pkt.Seq])
 		if err != nil {
 			panic(fmt.Sprintf("host: RemapRx(rdma window): %v", err))
 		}
@@ -576,26 +414,15 @@ func (n *netDev) Run(it *device.Item) sim.Duration {
 // segment, send more after an ACK.
 func (n *netDev) Done(it *device.Item) {
 	switch it.Pkt.Kind {
-	case dataSeg:
-		f := n.rxFlows[it.Pkt.Flow]
+	case flowData:
+		f := n.flows[it.Pkt.Flow]
 		if it.Pkt.Flags&flagAcked != 0 {
-			n.sendLocalAck(f.cpu, f.id, ackOf(it.Pkt))
+			f.sendAck(ackOf(it.Pkt))
 		} else {
-			n.armRxFlush(f)
+			f.armFlush()
 		}
-	case txAckIn:
-		n.pumpTxFlow(n.txFlows[it.Pkt.Flow])
-	case peerData:
-		f := n.peerRx[it.Pkt.Flow]
-		if it.Pkt.Flags&flagAcked != 0 {
-			n.sendPeerAck(f, ackOf(it.Pkt))
-		} else {
-			n.armPeerFlush(f)
-		}
-	case peerAck:
-		n.pumpPeerFlow(n.peerTx[it.Pkt.Flow])
-	case rdmaAck:
-		n.pumpRdmaFlow(n.rdmaTx[it.Pkt.Flow])
+	case flowAck:
+		n.flows[it.Pkt.Flow].pump()
 	}
 }
 
@@ -608,9 +435,9 @@ func (t *txPrep) Run(it *device.Item) sim.Duration {
 	var cost sim.Duration
 	var pages int
 	switch pkt.Kind {
-	case txData, peerData:
+	case flowData:
 		cost, pages = cfg.StackCost, n.mtuPages()
-	case ackOut, peerAck:
+	case flowAck:
 		cost, pages = cfg.AckTxCost, 1
 		n.c.acksSent++
 	case msgSeg, serveSeg:
@@ -632,12 +459,11 @@ func (t *txPrep) Run(it *device.Item) sim.Duration {
 func (t *txPrep) Done(it *device.Item) {
 	n := (*netDev)(t)
 	switch it.Pkt.Kind {
-	case txData:
-		n.txFlows[it.Pkt.Flow].sendQueued--
-	case peerData:
-		n.peerTx[it.Pkt.Flow].sendQueued--
+	case flowData:
+		n.flows[it.Pkt.Flow].sendQueued--
 	case rdmaReq:
-		n.sendRdmaRead(it.Pkt)
+		f := n.flows[it.Pkt.Flow]
+		f.carry(&f.src, it.Pkt)
 		return
 	}
 	n.dev.SendTx(it.Pkt, it.M)
@@ -654,18 +480,14 @@ func (n *netDev) onTxDone(pkt nic.Packet, m *core.TxMapping) {
 		n.post(int(pkt.CPU), device.Item{Task: n, Pkt: packet.Packet{Kind: unmapTx}, M: m})
 	}
 	switch pkt.Kind {
-	case ackOut, txData, msgSeg, serveSeg:
+	case flowData:
+		f := n.flows[pkt.Flow]
+		f.carry(&f.dst, pkt)
+	case flowAck:
+		f := n.flows[pkt.Flow]
+		f.carry(&f.src, pkt)
+	case msgSeg, serveSeg:
 		n.toRemote.Send(pkt, (*remoteEnd)(n))
-	case peerData:
-		f := n.peerTx[pkt.Flow]
-		pkt.CPU, pkt.Flow = uint16(f.dstCPU), int32(f.rxIdx)
-		f.srcPort.Transmit(f.dstPort.ID(), pkt, f.dst.dev)
-	case peerAck:
-		f := n.peerRx[pkt.Flow]
-		pkt.CPU, pkt.Flow = uint16(f.srcCPU), int32(f.txIdx)
-		f.dstPort.Transmit(f.srcPort.ID(), pkt, f.src.dev)
-	case rdmaData:
-		n.rdmaTxDone(pkt)
 	default:
 		panic(fmt.Sprintf("host: unknown Tx packet kind %d", pkt.Kind))
 	}
@@ -676,19 +498,12 @@ func (n *netDev) onTxDone(pkt nic.Packet, m *core.TxMapping) {
 func (r *remoteEnd) Arrive(pkt packet.Packet) {
 	n := (*netDev)(r)
 	switch pkt.Kind {
-	case ackOut:
-		f := n.rxFlows[pkt.Flow]
+	case flowAck:
+		f := n.flows[pkt.Flow]
 		f.snd.OnAck(ackOf(pkt), n.h.eng.Now())
-		n.pumpRxFlow(f)
-	case txData:
-		f := n.txFlows[pkt.Flow]
-		delivered, ack, ok := f.rcv.Receive(pkt.Seq, pkt.ECN())
-		n.c.txDeliveredBytes += delivered * int64(n.spec.MTU)
-		if ok {
-			n.remoteAckToLocal(f, ack)
-		} else {
-			n.armTxFlush(f)
-		}
+		f.pump()
+	case flowData:
+		n.flows[pkt.Flow].receive(pkt)
 	case msgSeg:
 		n.h.msgs.remoteReceive(pkt)
 	case serveSeg:
@@ -698,19 +513,21 @@ func (r *remoteEnd) Arrive(pkt packet.Packet) {
 	}
 }
 
-// Arrive implements fabric.Sink for the one-sided packets that reach a
-// cluster host without entering its Rx rings: RDMA frames land in a
-// registered window, READ requests and hardware ACKs are consumed by the
-// NIC. Two-sided peer packets are sent to the NIC itself.
+// Arrive implements fabric.Sink for a nic end: packets that reach a
+// cluster host without entering its Rx rings. One-sided frames land in
+// the registered window, READ requests start the source NIC streaming,
+// and a hardware ACK surfaces to the sending core as a completion (CQE
+// poll), which re-arms the stream. Packets for stack ends are sent to
+// the NIC itself.
 func (n *netDev) Arrive(pkt packet.Packet) {
 	switch pkt.Kind {
-	case rdmaData:
-		iovas, start := n.rdmaRx[pkt.Flow].dstMR.frame(pkt.Seq)
+	case flowData:
+		iovas, start := n.flows[pkt.Flow].dst.mr.frame(pkt.Seq)
 		n.dev.DirectRx(pkt, iovas, start)
 	case rdmaReq:
-		n.pumpRdmaFlow(n.rdmaTx[pkt.Flow])
-	case rdmaAck:
-		n.rdmaAckDelivered(pkt)
+		n.flows[pkt.Flow].pump()
+	case flowAck:
+		n.post(int(pkt.CPU), device.Item{Task: n, Pkt: pkt})
 	default:
 		panic(fmt.Sprintf("host: fabric delivered packet kind %d to the NIC's one-sided engine", pkt.Kind))
 	}

@@ -116,3 +116,28 @@ func TestRDMAStrawmanServesStaleATS(t *testing.T) {
 		}
 	}
 }
+
+// One-sided data lands in application memory without the stack's copy
+// in and out, so the sink's memory traffic is the DMA alone; two-sided
+// data pays the DMA plus both copies.
+func TestOneSidedDataSkipsCopyCharge(t *testing.T) {
+	for _, c := range []struct {
+		op       transport.Op
+		min, max float64 // sink memory bytes per Rx DMA byte
+	}{
+		{transport.Write, 0.9, 1.1},
+		{transport.SendRecv, 2.9, 3.1},
+	} {
+		cl, err := NewCluster(rdmaClusterConfig(core.FNS, c.op, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Run(sim.Millisecond, sim.Millisecond)
+		sink := cl.Hosts()[1]
+		bus, _ := cl.Registry().Value("host1.mem.bytes")
+		ratio := bus / float64(sink.NIC().Stats().RxBytes)
+		if ratio < c.min || ratio > c.max {
+			t.Errorf("%v: sink memory bytes per Rx DMA byte = %.3f, want in [%.1f, %.1f]", c.op, ratio, c.min, c.max)
+		}
+	}
+}

@@ -251,21 +251,11 @@ func (h *Host) snap() snapshot {
 	s.rxBusy = h.net.rx.Stats().BusyTime
 	s.rxReads = h.net.rx.Stats().MemReads
 	s.rxDMAs = h.net.rx.Stats().DMAs
-	for _, f := range h.net.rxFlows {
-		s.sndRtx += f.snd.Stats().Retransmits
-		s.sndTo += f.snd.Stats().Timeouts
-	}
-	for _, f := range h.net.txFlows {
-		s.sndRtx += f.snd.Stats().Retransmits
-		s.sndTo += f.snd.Stats().Timeouts
-	}
-	for _, f := range h.net.peerTx {
-		s.sndRtx += f.snd.Stats().Retransmits
-		s.sndTo += f.snd.Stats().Timeouts
-	}
-	for _, f := range h.net.rdmaTx {
-		s.sndRtx += f.snd.Stats().Retransmits
-		s.sndTo += f.snd.Stats().Timeouts
+	for _, f := range h.net.flows {
+		if f.src.n == h.net {
+			s.sndRtx += f.snd.Stats().Retransmits
+			s.sndTo += f.snd.Stats().Timeouts
+		}
 	}
 	if h.msgs != nil {
 		s.msgDone = h.msgs.completed

@@ -1,8 +1,6 @@
 package host
 
 import (
-	"fmt"
-
 	"fastsafe/internal/device"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
@@ -51,7 +49,8 @@ type TelemetryConfig struct {
 //	<dev>.pcie.rx.*     the NIC's Rx PCIe link (incl. latency_ns histogram)
 //	<dev>.pcie.tx.*     likewise for Tx
 //	<dev>.ats.*         the NIC's device-side ATS cache (only with an ATC)
-//	<dev>.flow<i>.*     per-flow congestion state (NICs only)
+//	<dev>.<flow>.*      per-flow congestion state at the sending NIC
+//	                    (flow<i>, txflow<i>, peerflow<i>, rdmaflow<i>)
 //	rpc.*               request/response workload (latency_ns histogram)
 //	fault.*             injected-fault tallies (only with a fault plan)
 //	audit.*             translation safety audit (only when auditing)
@@ -110,12 +109,17 @@ func (t *Telemetry) addDevice(d device.Device) {
 	if atc := n.dom.ATC(); atc != nil {
 		atc.RegisterProbes(t.reg, name+".ats.")
 	}
-	for _, f := range n.rxFlows {
-		f.snd.RegisterProbes(t.reg, fmt.Sprintf("%s.flow%d.", name, f.id))
+	for _, f := range n.flows {
+		if f.src.n == n {
+			t.addFlow(n, f)
+		}
 	}
-	for _, f := range n.txFlows {
-		f.snd.RegisterProbes(t.reg, fmt.Sprintf("%s.txflow%d.", name, f.id))
-	}
+}
+
+// addFlow registers a flow's congestion state under the sending NIC:
+// <dev>.flow<i>, txflow<i>, peerflow<i> or rdmaflow<i>.
+func (t *Telemetry) addFlow(n *netDev, f *flow) {
+	f.snd.RegisterProbes(t.reg, t.name(n.name+"."+f.name+"."))
 }
 
 // addSamplerProbes registers the timeline series. Probe order fixes the
@@ -152,10 +156,7 @@ func (t *Telemetry) addSamplerProbes() {
 		}, allBytes))
 	s.Probe("walk_reads", stats.DeltaProbe(func() int64 { return h.mmu.Counters().MemReads }))
 	s.Probe("inv_reqs", stats.DeltaProbe(func() int64 { return h.mmu.Counters().InvRequests }))
-	s.GaugeProbe("cwnd_mean", func() float64 {
-		cwnd, _, _, _, _ := h.DebugFlows()
-		return cwnd
-	})
+	s.GaugeProbe("cwnd_mean", h.net.meanCwnd)
 	var prevBusy []sim.Duration
 	s.Probe("core_util_max", func(dt sim.Duration) float64 {
 		var peak float64
