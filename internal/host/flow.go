@@ -48,8 +48,10 @@ type flowEnd struct {
 	kind endKind
 	// n is the NIC the end sits behind; for an abstract end, the NIC
 	// whose wire pair reaches it.
-	n   *netDev
-	cpu int // device-local core; packets arriving at this end carry it
+	n *netDev
+	// cpu is the device-local core packets arriving at this end carry;
+	// an abstract end takes its host end's.
+	cpu int
 	// idx is the flow's place in n.flows: the Flow of packets arriving
 	// at this end.
 	idx  int
