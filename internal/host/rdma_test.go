@@ -117,20 +117,26 @@ func TestRDMAStrawmanServesStaleATS(t *testing.T) {
 	}
 }
 
-// One-sided data lands in application memory without the stack's copy
-// in and out, so the sink's memory traffic is the DMA alone; two-sided
-// data pays the DMA plus both copies.
-func TestOneSidedDataSkipsCopyCharge(t *testing.T) {
+// A nic end skips two stack costs. One-sided data lands in application
+// memory without the stack's copy in and out, so the sink's memory
+// traffic is the DMA alone; two-sided data pays the DMA plus both
+// copies. And a one-sided sender's retransmission timer is floored at
+// device scale instead of the stack's 5ms.
+func TestOneSidedEndCosts(t *testing.T) {
 	for _, c := range []struct {
 		op       transport.Op
 		min, max float64 // sink memory bytes per Rx DMA byte
+		rto      sim.Duration
 	}{
-		{transport.Write, 0.9, 1.1},
-		{transport.SendRecv, 2.9, 3.1},
+		{transport.Write, 0.9, 1.1, sim.Millisecond},
+		{transport.SendRecv, 2.9, 3.1, 5 * sim.Millisecond},
 	} {
 		cl, err := NewCluster(rdmaClusterConfig(core.FNS, c.op, 64))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rto := cl.Hosts()[0].net.flows[0].snd.RTO(); rto != c.rto {
+			t.Errorf("%v: sender RTO floor = %v, want %v", c.op, rto, c.rto)
 		}
 		cl.Run(sim.Millisecond, sim.Millisecond)
 		sink := cl.Hosts()[1]
