@@ -19,26 +19,13 @@ func tiny() Options {
 	return o
 }
 
-// TestIDsAllResolvable runs every registered figure once at short
-// windows and checks that it renders a well-formed table under its own
-// registry id. A golden figure is checked on the run it shares with
-// TestGoldenFiguresByteIdentical (goldenOpts, windows as short as
-// tiny()'s); every other figure runs at tiny().
+// TestIDsAllResolvable checks that every registered figure renders a
+// well-formed table under its own registry id. Every figure is golden, so
+// each is checked on the run it shares with TestGoldenFiguresByteIdentical
+// (goldenOpts, windows as short as tiny()'s) and costs no extra run.
 func TestIDsAllResolvable(t *testing.T) {
-	golden := map[string]bool{}
-	for _, id := range goldenFigs {
-		golden[id] = true
-	}
 	for _, id := range IDs() {
-		var tab Table
-		if golden[id] {
-			tab = goldenTable(t, id)
-		} else {
-			var err error
-			if tab, err = ByID(id, tiny()); err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-		}
+		tab := goldenTable(t, id)
 		if tab.ID != id {
 			t.Errorf("figure %q renders table id %q", id, tab.ID)
 		}

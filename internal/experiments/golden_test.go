@@ -24,23 +24,14 @@ func goldenOpts() Options {
 	}
 }
 
-// goldenFigs cover the construction paths worth locking: the flow sweep
-// (fig2, fig7), the all-modes table (every protection datapath), the
-// storage co-tenant figure (shared-IOMMU multi-device path), the cluster
-// figure (N hosts on the shared engine and fabric), the clusterscale
-// figure (the sharded conservative-parallel engine at 64-256 hosts; its
-// rendered rows are deterministic — wall-clock lives in the JSON-only
-// Notes), the rdma figure (one-sided peer flows through the device-side
-// ATS cache, including the strawman's audited stale hits), and the
-// capability figure (the capability-table protection family next to the
-// page-table family, with the lazy-revoke stale window audited), and the
-// serving figure (the open-loop churn fleet — including the cohort8 rows,
-// whose counter columns must stay identical to the exact churn-0.20 host
-// rows by the cohort grouping-invariance contract), and the adaptive
-// figure (the control plane's two mid-run mode switches under the
-// windowed fault burst, with the per-phase tracking ratios and the
-// zero-stale audit columns locked byte-for-byte).
-var goldenFigs = []string{"fig2", "fig7", "modes", "storage", "cluster", "clusterscale", "rdma", "capability", "serving", "adaptive"}
+// Every registered figure is golden: testdata/golden holds one file per
+// id in IDs(), each the table rendered at goldenOpts. Together they lock
+// every construction path the figures reach — the single-host sweeps and
+// locality traces, the RPC and application tails, the co-tenant device
+// and antagonist tables, the fault, cluster, rdma, capability, serving
+// and adaptive campaigns, and the sharded engine at 64-256 hosts (its
+// rendered rows are deterministic; wall-clock lives in the JSON-only
+// Notes).
 
 // goldenRuns memoises each golden figure's table at goldenOpts, so the
 // golden test and TestIDsAllResolvable share one run per figure.
@@ -75,7 +66,7 @@ func goldenTable(t *testing.T, id string) Table {
 // but only when a results-changing modification is intentional.
 func TestGoldenFiguresByteIdentical(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
-	for _, id := range goldenFigs {
+	for _, id := range IDs() {
 		if id == "clusterscale" && race.Enabled {
 			// The figure times sequential 64-256-host cells; under the
 			// race detector that is ~10x slower and the wall-clock notes
