@@ -17,7 +17,7 @@ import (
 // blocked DMAs in every cell, and no cell ever serves a stale DMA.
 func TestAdaptiveTrends(t *testing.T) {
 	o := tiny()
-	tab := Adaptive(o)
+	tab := byID(t, "adaptive", o)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(tab.Rows))
 	}
@@ -96,8 +96,8 @@ func TestAdaptiveReplayableAcrossRunnerPools(t *testing.T) {
 	serialOpts.Parallel = 1
 	parOpts := tiny()
 	parOpts.Parallel = 8
-	serial := Adaptive(serialOpts)
-	par := Adaptive(parOpts)
+	serial := byID(t, "adaptive", serialOpts)
+	par := byID(t, "adaptive", parOpts)
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("adaptive table diverges across runner pools:\n%s\nvs\n%s", par, serial)
 	}

@@ -1,18 +1,24 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (§2.2 and §4) as printable tables, one function per figure.
-// The per-experiment index in DESIGN.md maps each figure to the modules
-// and workloads used here.
+// evaluation (§2.2 and §4) as printable tables. The per-experiment index
+// in DESIGN.md maps each figure to the modules and workloads used here.
 //
-// Every figure is a grid of independent deterministic simulations, so
-// each function builds its grid of workload.Specs first and fans them out
-// through internal/runner (Options.Parallel workers), then formats the
-// rows in grid order — parallelism never changes a table's contents.
+// Almost every figure is a grid of independent deterministic simulations,
+// declared as data in the figures registry: its cells (each a
+// workload.Spec or host.ClusterConfig with axis labels and a measurement
+// window) and its columns, picked by header name from one column table.
+// One runner fans every cell out through internal/runner (Options.Parallel
+// workers) and returns one host.Results per host; each column reads the
+// cell's sink host, sums over its hosts, or takes their max, and rows are
+// formatted in grid order — parallelism never changes a table's contents.
+// The figures that are not plain grids (model, timeline, adaptive,
+// clusterscale) are functions.
 package experiments
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -130,487 +136,481 @@ func (t Table) String() string {
 	return b.String()
 }
 
-// runSpecsRaw fans specs (windows already set) across the worker pool and
-// returns results indexed by spec. A failing or panicking cell aborts the
-// figure, as the sequential code did.
-func runSpecsRaw(specs []workload.Spec, parallel int) []host.Results {
-	jobs := make([]runner.Job[host.Results], len(specs))
-	for i, s := range specs {
-		s := s
-		jobs[i] = func(context.Context) (host.Results, error) {
-			r, err := s.Run()
-			if err != nil {
-				return host.Results{}, fmt.Errorf("%s: %w", s.Name, err)
-			}
-			return r, nil
-		}
+// cell is one simulation of a figure: a single host (spec) or a cluster,
+// labelled by its grid coordinates.
+type cell struct {
+	labels  []string // the row's leading columns, one per figure axis
+	spec    workload.Spec
+	cluster *host.ClusterConfig // set for a cluster cell; spec is unused
+	rpc     bool                // measure over Options.RPCMeasure, not Measure
+}
+
+// one is a single-host cell; many is a cluster cell.
+func one(s workload.Spec, labels ...string) cell { return cell{labels: labels, spec: s} }
+func many(c host.ClusterConfig, labels ...string) cell {
+	return cell{labels: labels, cluster: &c}
+}
+
+// sink is the index of the host a cell's per-host columns read: the
+// receiver of the first pair under the pairs pattern, host 0 otherwise
+// (the incast receiver, or the only host).
+func (c cell) sink() int {
+	if c.cluster != nil && c.cluster.Traffic == host.Pairs {
+		return 1
 	}
-	rs, err := runner.Collect(context.Background(), runner.Config{Workers: parallel}, jobs)
+	return 0
+}
+
+// run measures the cell and returns one Results per host.
+func (c cell) run(o Options) ([]host.Results, error) {
+	measure := o.Measure
+	if c.rpc {
+		measure = o.RPCMeasure
+	}
+	if c.cluster != nil {
+		cl, err := host.NewCluster(*c.cluster)
+		if err != nil {
+			return nil, err
+		}
+		return cl.Run(o.Warmup, measure).Hosts, nil
+	}
+	s := c.spec
+	s.Warmup, s.Measure = o.Warmup, measure
+	r, err := s.Run()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", s.Name, err)
+	}
+	return []host.Results{r}, nil
+}
+
+// run fans cells across the worker pool (Options.Parallel workers) and
+// returns their per-host results in cell order. A failing or panicking
+// cell aborts the figure.
+func run(cells []cell, o Options) [][]host.Results {
+	jobs := make([]runner.Job[[]host.Results], len(cells))
+	for i, c := range cells {
+		jobs[i] = func(context.Context) ([]host.Results, error) { return c.run(o) }
+	}
+	rs, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	return rs
 }
 
-// runSpecs applies o's measurement windows to every spec and runs them
-// concurrently.
-func runSpecs(specs []workload.Spec, o Options) []host.Results {
-	for i := range specs {
-		specs[i].Warmup = o.Warmup
-		specs[i].Measure = o.Measure
+// perMode is one cell per mode, labelled by the mode.
+func perMode(modes []core.Mode, mk func(core.Mode) cell) []cell {
+	return grid(modes, []struct{}{{}}, func(m core.Mode, _ struct{}) cell { return mk(m) })
+}
+
+// grid crosses modes with params in mode-major order; each cell mk builds
+// is labelled by its mode first.
+func grid[P any](modes []core.Mode, params []P, mk func(core.Mode, P) cell) []cell {
+	var cells []cell
+	for _, m := range modes {
+		for _, p := range params {
+			c := mk(m, p)
+			c.labels = append([]string{m.String()}, c.labels...)
+			cells = append(cells, c)
+		}
 	}
-	return runSpecsRaw(specs, o.Parallel)
+	return cells
+}
+
+// over says which of a cell's hosts a column reads.
+type over int
+
+const (
+	atSink  over = iota // the cell's sink host
+	sumOver             // summed in host order
+	maxOver             // the largest, floored at 0
+	perHost             // every host, joined with "/"
+)
+
+// column reads one number per host and formats it.
+type column struct {
+	over   over
+	format func(float64) string
+	val    func(host.Results) float64
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.3f%%", v*100) }
+func d(v float64) string   { return fmt.Sprintf("%d", int64(v)) }
+func us(v float64) string  { return f1(v / 1000) }
 
-// counterHeader is shared by the microbenchmark figures (panels a–e).
-var counterHeader = []string{
-	"mode", "flows/ring", "rx_gbps", "drop", "iotlb/pg", "ptL1/pg", "ptL2/pg", "ptL3/pg", "reads/pg", "acks/pg",
-}
-
-func counterRow(label string, r host.Results) []string {
-	return []string{
-		r.Mode.String(), label, f1(r.RxGbps), pct(r.DropRate),
-		f2(r.IOTLBPerPage), f3(r.L1PerPage), f3(r.L2PerPage), f3(r.L3PerPage),
-		f2(r.ReadsPerPage), f3(r.AcksPerPage),
+// safety is a run's audit report, zero when the auditor did not run.
+func safety(r host.Results) fault.SafetyReport {
+	if r.Safety == nil {
+		return fault.SafetyReport{}
 	}
+	return *r.Safety
 }
 
-var flowSweep = []int{5, 10, 20, 40}
-var ringSweep = []int{256, 512, 1024, 2048}
-
-// counterTable runs a mode × parameter iperf grid and formats it with the
-// shared microbenchmark header.
-func counterTable(id, title string, modes []core.Mode, params []int,
-	mk func(core.Mode, int) workload.Spec, label func(int) string, o Options) Table {
-	t := Table{ID: id, Title: title, Header: counterHeader}
-	var specs []workload.Spec
-	var labels []string
-	for _, mode := range modes {
-		for _, p := range params {
-			specs = append(specs, mk(mode, p))
-			labels = append(labels, label(p))
-		}
+// nic0 is the primary NIC's device breakdown, zero under an empty window.
+func nic0(r host.Results) host.DeviceResults {
+	if len(r.Devices) == 0 {
+		return host.DeviceResults{}
 	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, counterRow(labels[i], r))
-	}
-	return t
+	return r.Devices[0]
 }
 
-func flowLabel(f int) string { return fmt.Sprintf("%d flows", f) }
-func ringLabel(r int) string { return fmt.Sprintf("ring %d", r) }
-
-// Fig2 regenerates Figure 2 (panels a–d): Linux strict vs IOMMU off with
-// increasing flow counts. Panel e's locality trace is Fig2e.
-func Fig2(o Options) Table {
-	return counterTable("fig2", "Linux strict vs IOMMU off, flow sweep (§2.2)",
-		[]core.Mode{core.Off, core.Strict}, flowSweep,
-		func(m core.Mode, flows int) workload.Spec { return workload.Iperf(m, flows, 0) },
-		flowLabel, o)
-}
-
-// localityTable summarises a reuse-distance trace the way Figures 2e/3e/
-// 7e/8e plot it: distribution of PTcache-L3 stack distances at allocation.
-func localityTable(id, title string, specs []workload.Spec, labels []string, o Options) Table {
-	t := Table{ID: id, Title: title,
-		Header: []string{"mode", "case", "allocs", "mean_dist", "frac>=32", "frac>=64", "frac>=128"}}
-	for i, r := range runSpecs(specs, o) {
-		tr := r.Trace
-		if tr == nil {
-			continue
-		}
-		warm, sum := 0, 0
-		for _, d := range tr.Dists {
-			if d >= 0 {
+// meanDist is the mean PTcache-L3 stack distance over warm allocations.
+func meanDist(r host.Results) float64 {
+	warm, sum := 0, 0
+	if r.Trace != nil {
+		for _, dist := range r.Trace.Dists {
+			if dist >= 0 {
 				warm++
-				sum += d
+				sum += dist
 			}
 		}
-		mean := 0.0
-		if warm > 0 {
-			mean = float64(sum) / float64(warm)
+	}
+	if warm == 0 {
+		return 0
+	}
+	return float64(sum) / float64(warm)
+}
+
+// fracAbove is the share of locality-trace allocations at stack distance
+// n or more.
+func fracAbove(n int) func(host.Results) float64 {
+	return func(r host.Results) float64 {
+		if r.Trace == nil {
+			return 0
 		}
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), labels[i], fmt.Sprintf("%d", len(tr.Dists)), f2(mean),
-			f3(tr.FractionAbove(32)), f3(tr.FractionAbove(64)), f3(tr.FractionAbove(128)),
-		})
+		return r.Trace.FractionAbove(n)
 	}
-	return t
 }
 
-// Fig2e regenerates the Figure 2e IOVA locality panel.
-func Fig2e(o Options) Table {
-	var specs []workload.Spec
-	var labels []string
-	for _, flows := range flowSweep {
-		specs = append(specs, workload.IperfTrace(core.Strict, flows, 0, 200000))
-		labels = append(labels, flowLabel(flows))
-	}
-	return localityTable("fig2e", "PTcache-L3 locality, Linux strict, flow sweep", specs, labels, o)
+// latency is exchange-latency percentile i of Results.Percentiles, in ns.
+func latency(i int) func(host.Results) float64 {
+	return func(r host.Results) float64 { return float64(r.Percentiles()[i]) }
 }
 
-// Fig3 regenerates Figure 3 (a–d): ring-buffer-size sweep.
-func Fig3(o Options) Table {
-	return counterTable("fig3", "Linux strict vs IOMMU off, ring-size sweep (§2.2)",
-		[]core.Mode{core.Off, core.Strict}, ringSweep,
-		func(m core.Mode, ring int) workload.Spec { return workload.Iperf(m, 0, ring) },
-		ringLabel, o)
-}
+// columns is the one column table: every figure's non-axis columns, keyed
+// by header name. A key that two figures print for different numbers is
+// renamed here and printed through printedAs.
+var columns = map[string]column{
+	"rx_gbps":         {atSink, f1, func(r host.Results) float64 { return r.RxGbps }},
+	"nic_gbps":        {atSink, f1, func(r host.Results) float64 { return r.RxGbps }},
+	"tx_gbps":         {atSink, f1, func(r host.Results) float64 { return r.TxGbps }},
+	"app_gbps":        {atSink, f1, func(r host.Results) float64 { return r.MsgGbps }},
+	"agg_gbps":        {sumOver, f1, func(r host.Results) float64 { return r.RxGbps }},
+	"gbps":            {sumOver, f1, func(r host.Results) float64 { return r.RxGbps }},
+	"serve_gbps":      {sumOver, f1, func(r host.Results) float64 { return r.ServeGbps }},
+	"drop":            {atSink, pct, func(r host.Results) float64 { return r.DropRate }},
+	"recv_drop":       {atSink, pct, func(r host.Results) float64 { return r.DropRate }},
+	"iotlb/pg":        {atSink, f2, func(r host.Results) float64 { return r.IOTLBPerPage }},
+	"ptL1/pg":         {atSink, f3, func(r host.Results) float64 { return r.L1PerPage }},
+	"ptL2/pg":         {atSink, f3, func(r host.Results) float64 { return r.L2PerPage }},
+	"ptL3/pg":         {atSink, f3, func(r host.Results) float64 { return r.L3PerPage }},
+	"reads/pg":        {atSink, f2, func(r host.Results) float64 { return r.ReadsPerPage }},
+	"recv_reads/pg":   {atSink, f2, func(r host.Results) float64 { return r.ReadsPerPage }},
+	"acks/pg":         {atSink, f3, func(r host.Results) float64 { return r.AcksPerPage }},
+	"mem_util":        {atSink, f2, func(r host.Results) float64 { return r.MemUtil }},
+	"sink_cpu":        {atSink, f2, func(r host.Results) float64 { return r.MaxCPUUtil }},
+	"inv_reqs":        {sumOver, d, func(r host.Results) float64 { return float64(r.InvRequests) }},
+	"inv_total":       {sumOver, d, func(r host.Results) float64 { return float64(r.InvRequests) }},
+	"stale_uses":      {sumOver, d, func(r host.Results) float64 { return float64(r.StaleIOTLB + r.StalePT) }},
+	"cap_checks":      {sumOver, d, func(r host.Results) float64 { return float64(r.CapChecks) }},
+	"cap_revocations": {sumOver, d, func(r host.Results) float64 { return float64(r.CapRevocations) }},
+	"atc_hit_rate":    {atSink, f3, func(r host.Results) float64 { return nic0(r).ATSHitRate }},
+	"atc_invalidated": {atSink, d, func(r host.Results) float64 { return float64(nic0(r).ATCInvalidations) }},
 
-// Fig3e regenerates the Figure 3e locality panel.
-func Fig3e(o Options) Table {
-	var specs []workload.Spec
-	var labels []string
-	for _, ring := range ringSweep {
-		specs = append(specs, workload.IperfTrace(core.Strict, 0, ring, 200000))
-		labels = append(labels, ringLabel(ring))
-	}
-	return localityTable("fig3e", "PTcache-L3 locality, Linux strict, ring sweep", specs, labels, o)
-}
-
-// Fig7 regenerates Figure 7 (a–d): F&S vs strict vs off, flow sweep.
-func Fig7(o Options) Table {
-	return counterTable("fig7", "F&S eliminates protection overheads, flow sweep (§4.1)",
-		[]core.Mode{core.Off, core.Strict, core.FNS}, flowSweep,
-		func(m core.Mode, flows int) workload.Spec { return workload.Iperf(m, flows, 0) },
-		flowLabel, o)
-}
-
-// Fig7e regenerates the Figure 7e locality panel (F&S).
-func Fig7e(o Options) Table {
-	var specs []workload.Spec
-	var labels []string
-	for _, flows := range flowSweep {
-		specs = append(specs, workload.IperfTrace(core.FNS, flows, 0, 200000))
-		labels = append(labels, flowLabel(flows))
-	}
-	return localityTable("fig7e", "PTcache-L3 locality, F&S, flow sweep", specs, labels, o)
-}
-
-// Fig8 regenerates Figure 8 (a–d): F&S ring-size sweep.
-func Fig8(o Options) Table {
-	return counterTable("fig8", "F&S under growing IO working sets, ring sweep (§4.1)",
-		[]core.Mode{core.Off, core.Strict, core.FNS}, ringSweep,
-		func(m core.Mode, ring int) workload.Spec { return workload.Iperf(m, 0, ring) },
-		ringLabel, o)
-}
-
-// Fig8e regenerates the Figure 8e locality panel.
-func Fig8e(o Options) Table {
-	var specs []workload.Spec
-	var labels []string
-	for _, ring := range ringSweep {
-		specs = append(specs, workload.IperfTrace(core.FNS, 0, ring, 200000))
-		labels = append(labels, ringLabel(ring))
-	}
-	return localityTable("fig8e", "PTcache-L3 locality, F&S, ring sweep", specs, labels, o)
-}
-
-// Fig9 regenerates Figure 9: RPC tail latency colocated with iperf.
-func Fig9(o Options) Table {
-	t := Table{ID: "fig9", Title: "RPC tail latency under colocated iperf (§4.1)",
-		Header: []string{"mode", "rpc_size", "p50_us", "p90_us", "p99_us", "p99.9_us", "p99.99_us", "rpcs"}}
-	sizes := []int{128, 4096, 32768}
-	var specs []workload.Spec
-	var labels []string
-	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS} {
-		for _, size := range sizes {
-			s := workload.RPC(mode, size)
-			s.Warmup = o.Warmup
-			s.Measure = o.RPCMeasure
-			specs = append(specs, s)
-			labels = append(labels, fmt.Sprintf("%dB", size))
+	// Locality trace (Figures 2e/3e/7e/8e): PTcache-L3 stack distances at
+	// allocation.
+	"allocs": {atSink, d, func(r host.Results) float64 {
+		if r.Trace == nil {
+			return 0
 		}
-	}
-	for i, r := range runSpecsRaw(specs, o.Parallel) {
-		p := r.Percentiles()
-		us := func(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/1000) }
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), labels[i],
-			us(p[0]), us(p[1]), us(p[2]), us(p[3]), us(p[4]),
-			fmt.Sprintf("%d", r.Completed),
-		})
-	}
-	return t
+		return float64(len(r.Trace.Dists))
+	}},
+	"mean_dist": {atSink, f2, meanDist},
+	"frac>=32":  {atSink, f3, fracAbove(32)},
+	"frac>=64":  {atSink, f3, fracAbove(64)},
+	"frac>=128": {atSink, f3, fracAbove(128)},
+
+	// Latency: exchange percentiles (the serving fleet's when it runs),
+	// tails as the worst host.
+	"p50_us":    {atSink, us, latency(0)},
+	"p90_us":    {atSink, us, latency(1)},
+	"p99_us":    {maxOver, us, latency(2)},
+	"p99.9_us":  {atSink, us, latency(3)},
+	"p999_us":   {maxOver, us, latency(3)},
+	"p99.99_us": {atSink, us, latency(4)},
+	"rpcs":      {atSink, d, func(r host.Results) float64 { return float64(r.Completed) }},
+
+	// Serving fleet and allocator churn.
+	"served":      {sumOver, d, func(r host.Results) float64 { return float64(r.ServeCompleted) }},
+	"deaths":      {sumOver, d, func(r host.Results) float64 { return float64(r.ServeDeaths) }},
+	"iova_allocs": {sumOver, d, func(r host.Results) float64 { return float64(r.IOVA.TreeAllocs) }},
+	"overflow":    {sumOver, d, func(r host.Results) float64 { return float64(r.IOVA.OverflowFrees) }},
+
+	// Audit and fault injection.
+	"injected":       {sumOver, d, func(r host.Results) float64 { return float64(r.FaultsInjected) }},
+	"checked":        {sumOver, d, func(r host.Results) float64 { return float64(safety(r).Checked) }},
+	"blocked":        {sumOver, d, func(r host.Results) float64 { return float64(safety(r).Blocked) }},
+	"retries":        {sumOver, d, func(r host.Results) float64 { return float64(safety(r).Retries) }},
+	"stale_served":   {sumOver, d, func(r host.Results) float64 { return float64(safety(r).Violations()) }},
+	"stale_total":    {sumOver, d, func(r host.Results) float64 { return float64(safety(r).Violations()) }},
+	"stale_ats":      {sumOver, d, func(r host.Results) float64 { return float64(safety(r).StaleATS) }},
+	"stale_per_host": {perHost, d, func(r host.Results) float64 { return float64(safety(r).Violations()) }},
 }
 
-// Fig10 regenerates Figure 10: concurrent Rx and Tx bulk traffic.
-func Fig10(o Options) Table {
-	t := Table{ID: "fig10", Title: "Extreme Rx/Tx interference (§4.1)",
-		Header: []string{"mode", "core_pairs", "rx_gbps", "tx_gbps", "drop", "reads/pg"}}
-	var specs []workload.Spec
-	var pairsOf []int
-	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS} {
-		for _, pairs := range []int{1, 2, 4} {
-			specs = append(specs, workload.Bidirectional(mode, pairs))
-			pairsOf = append(pairsOf, pairs)
+// printedAs maps a renamed column key back to its header.
+var printedAs = map[string]string{"serve_gbps": "gbps"}
+
+// read renders column c for one cell's per-host results.
+func (c column) read(rs []host.Results, sink int) string {
+	switch c.over {
+	case atSink:
+		return c.format(c.val(rs[sink]))
+	case perHost:
+		cells := make([]string, len(rs))
+		for i, r := range rs {
+			cells[i] = c.format(c.val(r))
+		}
+		return strings.Join(cells, "/")
+	}
+	var v float64
+	for _, r := range rs {
+		x := c.val(r)
+		switch {
+		case c.over == sumOver:
+			v += x
+		case x > v:
+			v = x
 		}
 	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", pairsOf[i]),
-			f1(r.RxGbps), f1(r.TxGbps), pct(r.DropRate), f2(r.ReadsPerPage),
-		})
+	return c.format(v)
+}
+
+// figure is one registered table. A grid figure is declared as data: its
+// cells and the columns each row reads from the column table, with a
+// cross-row post-pass where a column compares rows. Figures that are not
+// grids set Fn instead.
+type figure struct {
+	ID    string
+	Fn    func(Options) Table
+	title string
+	axes  []string // headers of the cells' label columns
+	cells []cell
+	cols  []string // keys into columns
+	post  func(t *Table, cells []cell, rs [][]host.Results)
+}
+
+// table runs a grid figure's cells and formats one row per cell: its
+// labels, then each column.
+func (f figure) table(o Options) Table {
+	t := Table{ID: f.ID, Title: f.title, Header: append([]string(nil), f.axes...)}
+	for _, k := range f.cols {
+		if h, ok := printedAs[k]; ok {
+			k = h
+		}
+		t.Header = append(t.Header, k)
+	}
+	rs := run(f.cells, o)
+	for i, c := range f.cells {
+		row := append([]string(nil), c.labels...)
+		for _, k := range f.cols {
+			row = append(row, columns[k].read(rs[i], c.sink()))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	if f.post != nil {
+		f.post(&t, f.cells, rs)
 	}
 	return t
 }
 
-// appTable runs a Figure 11 application sweep.
-func appTable(id, title string, mk func(core.Mode, int) workload.Spec, sizes []int, o Options) Table {
-	t := Table{ID: id, Title: title,
-		Header: []string{"mode", "size", "app_gbps", "drop", "iotlb/pg", "reads/pg", "p99_us"}}
-	var specs []workload.Spec
-	var sizeOf []int
-	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS} {
-		for _, size := range sizes {
-			specs = append(specs, mk(mode, size))
-			sizeOf = append(sizeOf, size)
+var (
+	offStrict    = []core.Mode{core.Off, core.Strict}
+	offStrictFNS = []core.Mode{core.Off, core.Strict, core.FNS}
+	strictFNS    = []core.Mode{core.Strict, core.FNS}
+	flowSweep    = []int{5, 10, 20, 40}
+	ringSweep    = []int{256, 512, 1024, 2048}
+
+	counterAxes  = []string{"mode", "flows/ring"}
+	counterCols  = []string{"rx_gbps", "drop", "iotlb/pg", "ptL1/pg", "ptL2/pg", "ptL3/pg", "reads/pg", "acks/pg"}
+	localityAxes = []string{"mode", "case"}
+	localityCols = []string{"allocs", "mean_dist", "frac>=32", "frac>=64", "frac>=128"}
+	appAxes      = []string{"mode", "size"}
+	appCols      = []string{"app_gbps", "drop", "iotlb/pg", "reads/pg", "p99_us"}
+)
+
+// flowCells and ringCells sweep the §2.2 iperf microbenchmark's flow
+// count and ring size; trace turns on the PTcache-L3 locality trace.
+func flowCells(modes []core.Mode, trace bool) []cell {
+	return grid(modes, flowSweep, func(m core.Mode, flows int) cell {
+		return one(iperf(m, flows, 0, trace), fmt.Sprintf("%d flows", flows))
+	})
+}
+
+func ringCells(modes []core.Mode, trace bool) []cell {
+	return grid(modes, ringSweep, func(m core.Mode, ring int) cell {
+		return one(iperf(m, 0, ring, trace), fmt.Sprintf("ring %d", ring))
+	})
+}
+
+func iperf(m core.Mode, flows, ring int, trace bool) workload.Spec {
+	if trace {
+		return workload.IperfTrace(m, flows, ring, 200000)
+	}
+	return workload.Iperf(m, flows, ring)
+}
+
+// appCells runs a Figure 11 application over its size sweep.
+func appCells(mk func(core.Mode, int) workload.Spec, sizes ...int) []cell {
+	return grid(offStrictFNS, sizes, func(m core.Mode, size int) cell {
+		return one(mk(m, size), fmt.Sprintf("%dKB", size>>10))
+	})
+}
+
+// iperfWith is one default-iperf cell per (mode, param), the host config
+// adjusted by set and labelled by label.
+func iperfWith[P any](modes []core.Mode, params []P, label string, set func(*host.Config, P)) []cell {
+	return grid(modes, params, func(m core.Mode, p P) cell {
+		s := workload.Iperf(m, 0, 0)
+		set(&s.Host, p)
+		return one(s, fmt.Sprintf(label, p))
+	})
+}
+
+// vsClean inserts faults' goodput_vs_clean column after rx_gbps: each
+// row's goodput over its mode's intensity-0 row, the fault-free baseline.
+func vsClean(t *Table, cells []cell, rs [][]host.Results) {
+	clean := map[string]float64{}
+	for i, c := range cells {
+		if c.labels[1] == f2(0) {
+			clean[c.labels[0]] = rs[i][0].RxGbps
 		}
 	}
-	for i, r := range runSpecs(specs, o) {
-		p99 := float64(r.Percentiles()[2]) / 1000
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%dKB", sizeOf[i]>>10),
-			f1(r.MsgGbps), pct(r.DropRate), f2(r.IOTLBPerPage), f2(r.ReadsPerPage),
-			f1(p99),
-		})
+	t.Header = slices.Insert(t.Header, 3, "goodput_vs_clean")
+	for i, c := range cells {
+		ratio := 0.0
+		if base := clean[c.labels[0]]; base > 0 {
+			ratio = rs[i][0].RxGbps / base
+		}
+		t.Rows[i] = slices.Insert(t.Rows[i], 3, f2(ratio))
 	}
-	return t
 }
 
-// Fig11a regenerates the Redis experiment.
-func Fig11a(o Options) Table {
-	return appTable("fig11a", "Redis SET throughput vs value size (§4.2)",
-		workload.Redis, []int{4 << 10, 16 << 10, 64 << 10, 128 << 10}, o)
+// rdmaOps is the rdma figure's per-mode sweep: CPU-paced send/recv, then
+// one-sided WRITE as the device-side ATS cache grows.
+type rdmaOp struct {
+	op  transport.Op
+	ats int
 }
 
-// Fig11b regenerates the Nginx experiment.
-func Fig11b(o Options) Table {
-	return appTable("fig11b", "Nginx page throughput vs page size (§4.2)",
-		workload.Nginx, []int{128 << 10, 512 << 10, 2 << 20}, o)
-}
+var rdmaOps = []rdmaOp{{transport.SendRecv, 0}, {transport.Write, 64}, {transport.Write, 1024}, {transport.Write, 8192}}
 
-// Fig11c regenerates the SPDK experiment.
-func Fig11c(o Options) Table {
-	return appTable("fig11c", "SPDK read throughput vs block size (§4.2)",
-		workload.SPDK, []int{32 << 10, 64 << 10, 128 << 10, 256 << 10}, o)
-}
-
-// Fig12 regenerates the Figure 12 ablation: Linux, Linux+A (preserve),
-// Linux+B (contiguous+batched), F&S on the Redis 8KB-value workload.
-func Fig12(o Options) Table {
-	t := Table{ID: "fig12", Title: "Contribution of each F&S idea, Redis 8KB values (§4.3)",
-		Header: []string{"config", "app_gbps", "iotlb/pg", "ptL1/pg", "ptL3/pg", "reads/pg", "inv_reqs"}}
-	labels := []string{
-		"Linux",
-		"Linux+A (preserve PTcaches)",
-		"Linux+B (contig+batch)",
-		"F&S",
+// capabilityCell builds one capability-figure workload. shortlived maps
+// one-page descriptors at 1500-byte MTU, so per-buffer overhead
+// dominates; bulk streams 64-page descriptors on two cores, so per-page
+// costs dominate; faults replays the intensity-1 campaign; rdma recycles
+// one-sided WRITE windows across eight hosts through a 1024-entry ATS
+// cache.
+func capabilityCell(m core.Mode, kind string) cell {
+	hc := host.Config{Mode: m, Audit: true}
+	switch kind {
+	case "shortlived":
+		hc.DescriptorPages, hc.MTU, hc.RingPackets = 1, 1500, 512
+	case "bulk":
+		hc.Cores = 2
+	case "faults":
+		hc.Faults, hc.FaultSeed = fault.Campaign(1), 1
+	case "rdma":
+		hc.ATSEntries = 1024
+		return many(host.ClusterConfig{Hosts: 8, Traffic: host.Pairs, Op: transport.Write, Host: hc}, kind)
 	}
-	var specs []workload.Spec
-	for _, mode := range []core.Mode{core.Strict, core.StrictPreserve, core.StrictContig, core.FNS} {
-		specs = append(specs, workload.RedisAblation(mode))
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			labels[i], f1(r.MsgGbps), f2(r.IOTLBPerPage), f3(r.L1PerPage), f3(r.L3PerPage),
-			f2(r.ReadsPerPage), fmt.Sprintf("%d", r.InvRequests),
-		})
-	}
-	return t
+	return one(workload.Spec{Name: "capability", Host: hc}, kind)
 }
 
-// Model validates the §2.2 analytic model against the simulator and
-// re-fits (l0, lm) from two operating points, as the paper does.
-func Model(o Options) Table {
+// servingCells is the serving figure's grid: per mode, the single-host
+// fleet at three churn rates and the churn-0.20 fleet in 8-connection
+// cohorts (both over the RPC window), then per mode the fleet on every
+// host of an 8-host pairs cluster next to the pattern's peer flows.
+func servingCells() []cell {
+	modes := []core.Mode{core.Strict, core.FNS, core.Cap}
+	type fleet struct {
+		scope         string
+		churn         float64
+		cohort, hosts int
+	}
+	mk := func(m core.Mode, f fleet) cell {
+		serve := &host.ServeConfig{Conns: 48, Churn: f.churn, Cohort: f.cohort}
+		if f.hosts > 0 {
+			return many(host.ClusterConfig{Hosts: f.hosts, Traffic: host.Pairs,
+				Host: host.Config{Mode: m, Audit: true, Serve: serve}}, f.scope, f2(f.churn))
+		}
+		c := one(workload.Spec{Name: "serving", Host: host.Config{Mode: m, RxFlows: -1, Audit: true, Serve: serve}},
+			f.scope, f2(f.churn))
+		c.rpc = true
+		return c
+	}
+	single := grid(modes, []fleet{{"host", 0.05, 1, 0}, {"host", 0.2, 1, 0}, {"host", 0.5, 1, 0}, {"cohort8", 0.2, 8, 0}}, mk)
+	return append(single, grid(modes, []fleet{{"8-host", 0.2, 1, 8}}, mk)...)
+}
+
+// modelTable validates the §2.2 analytic model against the simulator and
+// re-fits (l0, lm) from the first and last operating points, as the
+// paper does.
+func modelTable(o Options) Table {
 	t := Table{ID: "model", Title: "Analytic model T = p/(l0 + M*lm) vs simulation (§2.2)",
 		Header: []string{"mode", "flows", "sim_gbps", "model_gbps", "rel_err", "rx_reads/dma"}}
-	var specs []workload.Spec
-	for _, flows := range flowSweep {
-		specs = append(specs, workload.Iperf(core.Strict, flows, 0))
-	}
-	type pt struct {
-		m, thr float64
-	}
-	var pts []pt
-	for i, r := range runSpecs(specs, o) {
-		frame := float64(4096 + 66)
-		ser := frame * 8 / 128
-		svc := model.L0Ns + r.RxReadsPerDMA*model.LmNs
-		if ser > svc {
-			svc = ser
-		}
-		est := 4096 * 8 / svc
-		if est > 100 {
-			est = 100
-		}
+	rs := run(flowCells([]core.Mode{core.Strict}, false), o)
+	for i, hosts := range rs {
+		r := hosts[0]
+		est := model.ThroughputGbps(4096, r.RxReadsPerDMA, model.L0Ns, model.LmNs, 100)
 		t.Rows = append(t.Rows, []string{
 			"strict", fmt.Sprintf("%d", flowSweep[i]), f1(r.RxGbps), f1(est),
 			pct(model.RelativeError(est, r.RxGbps)), f2(r.RxReadsPerDMA),
 		})
-		pts = append(pts, pt{r.RxReadsPerDMA, r.RxGbps})
 	}
-	if len(pts) >= 2 && pts[0].m != pts[len(pts)-1].m {
-		l0, lm, ok := model.FitL0Lm(4096, pts[0].m, pts[0].thr, pts[len(pts)-1].m, pts[len(pts)-1].thr)
-		if ok {
+	first, last := rs[0][0], rs[len(rs)-1][0]
+	if first.RxReadsPerDMA != last.RxReadsPerDMA {
+		if l0, lm, ok := model.FitL0Lm(4096, first.RxReadsPerDMA, first.RxGbps, last.RxReadsPerDMA, last.RxGbps); ok {
+			t.Rows = append(t.Rows, []string{"fit", "-", "-", "-", fmt.Sprintf("l0=%.0fns", l0), fmt.Sprintf("lm=%.0fns", lm)})
+		}
+	}
+	return t
+}
+
+// timelineTable renders the telemetry sampler's per-interval series for
+// strict vs F&S under a memory antagonist that switches on
+// mid-measurement — the dynamics behind the steady-state memhog table:
+// F&S's ~1-read walks shrug off the bus contention that collapses strict
+// mode's goodput. Every row is one sampling interval of one mode's run.
+func timelineTable(o Options) Table {
+	t := Table{ID: "timeline", Title: "Goodput and miss-rate dynamics under mid-run memory contention (extension)",
+		Header: []string{"mode", "t_ms", "rx_gbps", "iotlb/pg", "walk_reads", "mem_util"}}
+	cells := perMode(strictFNS, func(m core.Mode) cell {
+		s := workload.Iperf(m, 0, 0)
+		s.Host.MemHogGBps = 12
+		s.Host.MemHogStart = o.Warmup + o.Measure/2
+		s.Host.Telemetry.SampleEvery = o.Measure / 8
+		return one(s)
+	})
+	for _, hosts := range run(cells, o) {
+		r := hosts[0]
+		series := map[string]stats.Series{}
+		for _, s := range r.Timeline {
+			series[s.Name] = s
+		}
+		rx := series["rx_gbps"]
+		for i := range rx.Times {
 			t.Rows = append(t.Rows, []string{
-				"fit", "-", "-", "-", fmt.Sprintf("l0=%.0fns", l0), fmt.Sprintf("lm=%.0fns", lm),
+				r.Mode.String(),
+				f1(float64(rx.Times[i]) / 1e6),
+				f1(rx.Values[i]),
+				f2(series["iotlb_miss_per_pg"].Values[i]),
+				fmt.Sprintf("%.0f", series["walk_reads"].Values[i]),
+				f2(series["mem_util"].Values[i]),
 			})
 		}
-	}
-	return t
-}
-
-// Modes compares the safety/performance trade-off across all modes —
-// an extension table beyond the paper's figures.
-func Modes(o Options) Table {
-	t := Table{ID: "modes", Title: "All protection modes, default iperf (extension)",
-		Header: []string{"mode", "strict_safety", "rx_gbps", "reads/pg", "inv_reqs", "stale_uses"}}
-	modes := core.Modes()
-	var specs []workload.Spec
-	for _, mode := range modes {
-		specs = append(specs, workload.Iperf(mode, 0, 0))
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%v", modes[i].StrictSafety()),
-			f1(r.RxGbps), f2(r.ReadsPerPage),
-			fmt.Sprintf("%d", r.InvRequests), fmt.Sprintf("%d", r.StaleIOTLB+r.StalePT),
-		})
-	}
-	return t
-}
-
-// DescriptorSizes explores F&S on devices with smaller descriptors,
-// including the single-page-descriptor case (§3 "Generality").
-func DescriptorSizes(o Options) Table {
-	t := Table{ID: "descsize", Title: "F&S vs strict across descriptor sizes (§3 generality)",
-		Header: []string{"mode", "desc_pages", "rx_gbps", "reads/pg", "inv_reqs"}}
-	var specs []workload.Spec
-	var pagesOf []int
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, pages := range []int{1, 4, 16, 64} {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.DescriptorPages = pages
-			if pages == 1 {
-				// A single-page descriptor (Intel ICE, §3 generality) can
-				// only hold standard-MTU frames.
-				s.Host.MTU = 1500
-				s.Host.RingPackets = 512
-			}
-			specs = append(specs, s)
-			pagesOf = append(pagesOf, pages)
-		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", pagesOf[i]),
-			f1(r.RxGbps), f2(r.ReadsPerPage), fmt.Sprintf("%d", r.InvRequests),
-		})
-	}
-	return t
-}
-
-// CacheSizes sweeps the PTcache-L3 size — the footnote-3 sensitivity
-// study (extension).
-func CacheSizes(o Options) Table {
-	t := Table{ID: "ptcache", Title: "PTcache-L3 size sensitivity, Linux strict (extension)",
-		Header: []string{"mode", "l3_entries", "rx_gbps", "ptL3/pg", "reads/pg"}}
-	var specs []workload.Spec
-	var sizeOf []int
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, size := range []int{16, 32, 64, 128} {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.IOMMU.L3Size = size
-			specs = append(specs, s)
-			sizeOf = append(sizeOf, size)
-		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", sizeOf[i]),
-			f1(r.RxGbps), f3(r.L3PerPage), f2(r.ReadsPerPage),
-		})
-	}
-	return t
-}
-
-// Hugepages explores the paper's §5 future-work direction: F&S combined
-// with 2MB hugepage-backed descriptors, cutting the IOTLB miss count
-// itself (at 2MB revocation granularity).
-func Hugepages(o Options) Table {
-	t := Table{ID: "huge", Title: "F&S + hugepages: reducing the miss count too (§5 extension)",
-		Header: []string{"mode", "flows", "rx_gbps", "iotlb/pg", "reads/pg", "inv_reqs"}}
-	var specs []workload.Spec
-	var flowsOf []int
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.FNSHuge} {
-		for _, flows := range []int{5, 40} {
-			specs = append(specs, workload.Iperf(mode, flows, 0))
-			flowsOf = append(flowsOf, flows)
-		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", flowsOf[i]),
-			f1(r.RxGbps), f2(r.IOTLBPerPage), f2(r.ReadsPerPage),
-			fmt.Sprintf("%d", r.InvRequests),
-		})
-	}
-	return t
-}
-
-// MemoryLatency sweeps the IOMMU-to-memory read latency l_m, the §2.2
-// memory-contention observation: higher memory access latency inflates the
-// per-walk cost, and F&S's ~1-read walks make it far less sensitive than
-// Linux strict's multi-read walks (extension).
-func MemoryLatency(o Options) Table {
-	t := Table{ID: "memlat", Title: "Sensitivity to memory read latency l_m (§2.2 contention, extension)",
-		Header: []string{"mode", "lm_ns", "rx_gbps", "reads/pg"}}
-	var specs []workload.Spec
-	var lmOf []sim.Duration
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, lm := range []sim.Duration{197, 300, 400} {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.Lm = lm
-			specs = append(specs, s)
-			lmOf = append(lmOf, lm)
-		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", int64(lmOf[i])),
-			f1(r.RxGbps), f2(r.ReadsPerPage),
-		})
-	}
-	return t
-}
-
-// Seeds reports run-to-run variance across simulation seeds (extension:
-// the paper reports single-testbed numbers; the simulator can quantify
-// sensitivity).
-func Seeds(o Options) Table {
-	t := Table{ID: "seeds", Title: "Throughput across simulation seeds (extension)",
-		Header: []string{"mode", "seed", "rx_gbps", "reads/pg", "drop"}}
-	var specs []workload.Spec
-	var seedOf []int64
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for seed := int64(1); seed <= 4; seed++ {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.Seed = seed
-			specs = append(specs, s)
-			seedOf = append(seedOf, seed)
-		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", seedOf[i]),
-			f1(r.RxGbps), f2(r.ReadsPerPage), pct(r.DropRate),
-		})
 	}
 	return t
 }
@@ -734,70 +734,6 @@ func Multidev(o Options) Table {
 	return t
 }
 
-// MemoryHog runs the network workloads against a co-tenant memory
-// antagonist: past the bus's calibration point, every page-table read
-// slows down, and strict mode's multi-read walks amplify the damage
-// (§2.2's memory-contention observation, emergent rather than swept).
-func MemoryHog(o Options) Table {
-	t := Table{ID: "memhog", Title: "Memory-bandwidth antagonist (§2.2 contention, extension)",
-		Header: []string{"mode", "hog_GBps", "rx_gbps", "mem_util", "reads/pg"}}
-	var specs []workload.Spec
-	var hogOf []float64
-	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS} {
-		for _, hog := range []float64{0, 6, 12} {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.MemHogGBps = hog
-			specs = append(specs, s)
-			hogOf = append(hogOf, hog)
-		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%.0f", hogOf[i]),
-			f1(r.RxGbps), f2(r.MemUtil), f2(r.ReadsPerPage),
-		})
-	}
-	return t
-}
-
-// Timeline renders the telemetry sampler's per-interval series for strict
-// vs F&S under a memory antagonist that switches on mid-measurement — the
-// dynamics behind the steady-state MemoryHog table: F&S's ~1-read walks
-// shrug off the bus contention that collapses strict mode's goodput.
-// Every row is one sampling interval of one mode's run.
-func Timeline(o Options) Table {
-	t := Table{ID: "timeline", Title: "Goodput and miss-rate dynamics under mid-run memory contention (extension)",
-		Header: []string{"mode", "t_ms", "rx_gbps", "iotlb/pg", "walk_reads", "mem_util"}}
-	var specs []workload.Spec
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		s := workload.Iperf(mode, 0, 0)
-		s.Host.MemHogGBps = 12
-		s.Host.MemHogStart = o.Warmup + o.Measure/2
-		s.Host.Telemetry.SampleEvery = o.Measure / 8
-		s.Warmup = o.Warmup
-		s.Measure = o.Measure
-		specs = append(specs, s)
-	}
-	for _, r := range runSpecsRaw(specs, o.Parallel) {
-		series := map[string]stats.Series{}
-		for _, s := range r.Timeline {
-			series[s.Name] = s
-		}
-		rx := series["rx_gbps"]
-		for i := range rx.Times {
-			t.Rows = append(t.Rows, []string{
-				r.Mode.String(),
-				f1(float64(rx.Times[i]) / 1e6),
-				f1(rx.Values[i]),
-				f2(series["iotlb_miss_per_pg"].Values[i]),
-				fmt.Sprintf("%.0f", series["walk_reads"].Values[i]),
-				f2(series["mem_util"].Values[i]),
-			})
-		}
-	}
-	return t
-}
-
 // CPUCost reports the driver-side protection CPU time per gigabyte moved —
 // the per-core efficiency angle of [39, 42] that motivates F&S's batched
 // invalidations (extension).
@@ -840,410 +776,6 @@ func CPUCost(o Options) Table {
 	return t
 }
 
-// Faults is the adversarial safety campaign: the canonical fault plan
-// (internal/fault.Campaign) swept over intensity for Linux strict, F&S,
-// and the deliberately unsafe defer-noshootdown strawman, with the
-// translation auditor cross-checking every DMA against the live page
-// table. The paper's safety claim is the strict and fns rows: zero
-// stale-served DMAs at every intensity, while F&S retains ≥95% of its
-// fault-free goodput. The strawman rows must show nonzero stale_served —
-// the proof the auditor can actually see violations.
-func Faults(o Options) Table {
-	t := Table{ID: "faults", Title: "Fault-injection safety campaign: stale-served DMAs under the audit layer (extension)",
-		Header: []string{"mode", "intensity", "rx_gbps", "goodput_vs_clean", "injected", "checked", "blocked", "stale_served", "retries"}}
-	type cfg struct {
-		mode core.Mode
-		x    float64
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.DeferNoShootdown} {
-		for _, x := range []float64{0, 0.5, 1} {
-			cfgs = append(cfgs, cfg{mode, x})
-		}
-	}
-	jobs := make([]runner.Job[host.Results], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (host.Results, error) {
-			s := workload.Iperf(c.mode, 0, 0)
-			s.Host.Faults = fault.Campaign(c.x)
-			s.Host.FaultSeed = 1
-			s.Host.Audit = true
-			h, err := host.New(s.Host)
-			if err != nil {
-				return host.Results{}, err
-			}
-			return h.Run(o.Warmup, o.Measure), nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: faults: %v", err))
-	}
-	// Each mode's intensity-0 cell is its fault-free baseline.
-	clean := map[core.Mode]float64{}
-	for i, c := range cells {
-		if cfgs[i].x == 0 {
-			clean[cfgs[i].mode] = c.RxGbps
-		}
-	}
-	for i, c := range cells {
-		ratio := 0.0
-		if base := clean[cfgs[i].mode]; base > 0 {
-			ratio = c.RxGbps / base
-		}
-		var s fault.SafetyReport
-		if c.Safety != nil {
-			s = *c.Safety
-		}
-		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), f2(cfgs[i].x),
-			f1(c.RxGbps), f2(ratio),
-			fmt.Sprintf("%d", c.FaultsInjected),
-			fmt.Sprintf("%d", s.Checked), fmt.Sprintf("%d", s.Blocked),
-			fmt.Sprintf("%d", s.Violations()), fmt.Sprintf("%d", s.Retries),
-		})
-	}
-	return t
-}
-
-// Cluster scales the incast out to N full hosts on the switched fabric
-// (extension): every sender pays its own Tx protection costs and the
-// receiver its Rx costs, so aggregate goodput tracks how fast each
-// side's IOMMU path lets it move pages. F&S saturates the receiver's
-// downlink and stays there as senders are added; strict mode's
-// multi-read walks first starve the senders (low host counts) and then
-// the receiver (large ones), so its aggregate degrades past its peak.
-// Every host runs the translation auditor; the stale_per_host column is
-// the per-host count of stale-served DMAs (all zeros for safe modes).
-func Cluster(o Options) Table {
-	t := Table{ID: "cluster", Title: "Cluster incast: N full hosts on a switched fabric (extension)",
-		Header: []string{"mode", "hosts", "agg_gbps", "recv_drop", "recv_reads/pg", "stale_per_host"}}
-	type cfg struct {
-		mode  core.Mode
-		hosts int
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, n := range []int{2, 4, 8, 12} {
-			cfgs = append(cfgs, cfg{mode, n})
-		}
-	}
-	jobs := make([]runner.Job[host.ClusterResults], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (host.ClusterResults, error) {
-			cl, err := host.NewCluster(host.ClusterConfig{
-				Hosts:   c.hosts,
-				Traffic: host.Incast,
-				Host:    host.Config{Mode: c.mode, Audit: true},
-			})
-			if err != nil {
-				return host.ClusterResults{}, err
-			}
-			return cl.Run(o.Warmup, o.Measure), nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: cluster: %v", err))
-	}
-	for i, r := range cells {
-		recv := r.Hosts[0]
-		stale := make([]string, len(r.Hosts))
-		for j, h := range r.Hosts {
-			var v int64
-			if h.Safety != nil {
-				v = h.Safety.Violations()
-			}
-			stale[j] = fmt.Sprintf("%d", v)
-		}
-		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), fmt.Sprintf("%d", cfgs[i].hosts),
-			f1(r.AggRxGbps), pct(recv.DropRate), f2(recv.ReadsPerPage),
-			strings.Join(stale, "/"),
-		})
-	}
-	return t
-}
-
-// Rdma compares the two peer-flow shapes — two-sided send/recv and
-// one-sided WRITE — across protection modes as the device-side ATS
-// cache sweeps from undersized to window-covering (extension). Eight
-// hosts run the balanced pairs pattern so every flow has a dedicated
-// sink; the sink columns are the first pair's receiver. The table holds
-// the paper's two claims at once: one-sided flows beat the CPU-paced
-// send/recv shape at equal flow count (the sink core count drops out of
-// the datapath — see sink_cpu), and the safety argument survives the
-// device TLB — strict and F&S shoot the ATC down inside window
-// recycling and audit zero stale DMAs at every capacity, while
-// defer-noshootdown re-points window pages without any invalidate and
-// turns every resident translation stale (stale_ats) the moment the
-// cache is big enough to keep them (its goodput *rises* as it serves
-// memory it no longer owns — the shoot-down cost it skips is exactly
-// what the safe modes pay).
-func Rdma(o Options) Table {
-	t := Table{ID: "rdma", Title: "One-sided RDMA through a device-side ATS cache: goodput and audited safety (extension)",
-		Header: []string{"mode", "op", "ats_entries", "agg_gbps", "sink_cpu", "atc_hit_rate", "atc_invalidated", "stale_ats", "stale_total"}}
-	type cfg struct {
-		mode core.Mode
-		op   transport.Op
-		ats  int
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.DeferNoShootdown} {
-		cfgs = append(cfgs, cfg{mode, transport.SendRecv, 0})
-		for _, ats := range []int{64, 1024, 8192} {
-			cfgs = append(cfgs, cfg{mode, transport.Write, ats})
-		}
-	}
-	jobs := make([]runner.Job[host.ClusterResults], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (host.ClusterResults, error) {
-			cl, err := host.NewCluster(host.ClusterConfig{
-				Hosts:   8,
-				Traffic: host.Pairs,
-				Op:      c.op,
-				Host:    host.Config{Mode: c.mode, Audit: true, ATSEntries: c.ats},
-			})
-			if err != nil {
-				return host.ClusterResults{}, err
-			}
-			return cl.Run(o.Warmup, o.Measure), nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: rdma: %v", err))
-	}
-	for i, r := range cells {
-		sink := r.Hosts[1]
-		var staleATS int64
-		for _, h := range r.Hosts {
-			if h.Safety != nil {
-				staleATS += h.Safety.StaleATS
-			}
-		}
-		var dev host.DeviceResults // zero-valued under a zero-length window
-		if len(sink.Devices) > 0 {
-			dev = sink.Devices[0]
-		}
-		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), cfgs[i].op.String(), fmt.Sprintf("%d", cfgs[i].ats),
-			f1(r.AggRxGbps), f2(sink.MaxCPUUtil), f3(dev.ATSHitRate),
-			fmt.Sprintf("%d", dev.ATCInvalidations),
-			fmt.Sprintf("%d", staleATS), fmt.Sprintf("%d", r.Violations()),
-		})
-	}
-	return t
-}
-
-// Capability compares the page-table protection family against the
-// CAPIO-style capability family across buffer lifetimes, an adversarial
-// fault campaign, and one-sided RDMA window recycling (extension). Four
-// workloads isolate the trade. shortlived maps one-page descriptors at
-// 1500-byte MTU, so per-buffer overhead dominates and cap's O(1)
-// grant/revoke beats the page-table map-walk-shootdown sequence. bulk
-// streams the full 64-page descriptors on two cores, so per-page costs
-// dominate and F&S's contiguous mappings with batched invalidations
-// amortise what cap pays as a grant per page. faults replays the full
-// intensity-1 campaign under the audit layer. rdma recycles one-sided
-// WRITE windows across eight hosts through a device-side ATS cache —
-// the page-table modes pay an ATC shoot-down per recycle, while cap
-// domains never attach an ATC and the re-grant is the whole revocation.
-// The audit columns carry the safety ordering: cap is strict-equivalent
-// (zero stale-served on every workload), while cap-lazyrevoke batches
-// revocations the way deferred batches IOTLB flushes and exposes the
-// same bounded stale window, restated in capability terms.
-func Capability(o Options) Table {
-	t := Table{ID: "capability", Title: "Capability-table protection: page-table family vs capability family on goodput and audited safety (extension)",
-		Header: []string{"mode", "workload", "gbps", "reads/pg", "inv_reqs", "cap_checks", "cap_revocations", "checked", "stale_served"}}
-	type cell struct {
-		gbps, readsPg                               float64
-		invReqs, capChecks, capRevs, checked, stale int64
-	}
-	type cfg struct {
-		mode core.Mode
-		kind string
-	}
-	var cfgs []cfg
-	for _, m := range []core.Mode{core.Strict, core.FNS, core.Cap, core.CapLazyRevoke} {
-		for _, k := range []string{"shortlived", "bulk", "faults", "rdma"} {
-			cfgs = append(cfgs, cfg{m, k})
-		}
-	}
-	jobs := make([]runner.Job[cell], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (cell, error) {
-			if c.kind == "rdma" {
-				cl, err := host.NewCluster(host.ClusterConfig{
-					Hosts: 8, Traffic: host.Pairs, Op: transport.Write,
-					Host: host.Config{Mode: c.mode, Audit: true, ATSEntries: 1024},
-				})
-				if err != nil {
-					return cell{}, err
-				}
-				r := cl.Run(o.Warmup, o.Measure)
-				out := cell{gbps: r.AggRxGbps, readsPg: r.Hosts[1].ReadsPerPage, stale: r.Violations()}
-				for _, h := range r.Hosts {
-					out.invReqs += h.InvRequests
-					out.capChecks += h.CapChecks
-					out.capRevs += h.CapRevocations
-					if h.Safety != nil {
-						out.checked += h.Safety.Checked
-					}
-				}
-				return out, nil
-			}
-			hc := host.Config{Mode: c.mode, Audit: true}
-			switch c.kind {
-			case "shortlived":
-				hc.DescriptorPages, hc.MTU, hc.RingPackets = 1, 1500, 512
-			case "bulk":
-				hc.Cores = 2
-			case "faults":
-				hc.Faults, hc.FaultSeed = fault.Campaign(1), 1
-			}
-			h, err := host.New(hc)
-			if err != nil {
-				return cell{}, err
-			}
-			r := h.Run(o.Warmup, o.Measure)
-			var s fault.SafetyReport
-			if r.Safety != nil {
-				s = *r.Safety
-			}
-			return cell{gbps: r.RxGbps, readsPg: r.ReadsPerPage, invReqs: r.InvRequests,
-				capChecks: r.CapChecks, capRevs: r.CapRevocations,
-				checked: s.Checked, stale: s.Violations()}, nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: capability: %v", err))
-	}
-	for i, c := range cells {
-		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), cfgs[i].kind,
-			f1(c.gbps), f2(c.readsPg),
-			fmt.Sprintf("%d", c.invReqs), fmt.Sprintf("%d", c.capChecks),
-			fmt.Sprintf("%d", c.capRevs),
-			fmt.Sprintf("%d", c.checked), fmt.Sprintf("%d", c.stale),
-		})
-	}
-	return t
-}
-
-// Serving regenerates the serving-fleet churn scenario (extension): an
-// open-loop fleet of 48 heavy-tailed request/response connections per
-// host, each dying with the row's probability per request and reborn
-// with a fresh DMA buffer, so map/unmap and IOVA alloc/free rates scale
-// with churn. The iova_allocs and overflow columns carry the paper's
-// allocator story at production churn: strict's per-buffer alloc/free
-// falls off the rcache fast path into tree allocations (and, at high
-// churn, the depot-overflow flush), inflating its tail latency, while
-// F&S's preserved caches keep the fast path hot and the tails flat; cap
-// pays no page-table walk at all. The cohort8 rows run the same churn
-// 0.2 fleet aggregated 8 connections per flow cohort — every counter
-// column is identical to the exact host row by the cohort package's
-// grouping-invariance contract (only latency attribution is shared).
-// The 8-host rows run the fleet on every host of a pairs cluster next
-// to the pattern's peer flows; tails are the worst host, counts are
-// summed. stale_served must be zero in every row — churn is exactly
-// where a missed invalidation would let a recycled connection buffer be
-// read through a stale translation.
-func Serving(o Options) Table {
-	t := Table{ID: "serving", Title: "Serving-fleet churn: open-loop heavy tails, connection churn, flow cohorts (extension)",
-		Header: []string{"mode", "scope", "churn", "served", "gbps", "p99_us", "p999_us", "deaths", "iova_allocs", "overflow", "checked", "stale_served"}}
-	type cfg struct {
-		mode   core.Mode
-		scope  string // "host", "cohort8", "8-host"
-		churn  float64
-		cohort int
-		hosts  int // 0: single host
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.Cap} {
-		for _, ch := range []float64{0.05, 0.2, 0.5} {
-			cfgs = append(cfgs, cfg{mode, "host", ch, 1, 0})
-		}
-		cfgs = append(cfgs, cfg{mode, "cohort8", 0.2, 8, 0})
-	}
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.Cap} {
-		cfgs = append(cfgs, cfg{mode, "8-host", 0.2, 1, 8})
-	}
-	type cell struct {
-		served, deaths, allocs, overflow, checked, stale int64
-		gbps, p99, p999                                  float64
-	}
-	fold := func(out *cell, r host.Results) {
-		out.served += r.ServeCompleted
-		out.deaths += r.ServeDeaths
-		out.allocs += r.IOVA.TreeAllocs
-		out.overflow += r.IOVA.OverflowFrees
-		out.gbps += r.ServeGbps
-		if r.Safety != nil {
-			out.checked += r.Safety.Checked
-			out.stale += r.Safety.Violations()
-		}
-		if r.ServeLatency == nil { // degenerate zero-length window
-			return
-		}
-		us := func(q float64) float64 { return float64(r.ServeLatency.Quantile(q)) / 1e3 }
-		if p := us(0.99); p > out.p99 {
-			out.p99 = p
-		}
-		if p := us(0.999); p > out.p999 {
-			out.p999 = p
-		}
-	}
-	jobs := make([]runner.Job[cell], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (cell, error) {
-			serve := &host.ServeConfig{Conns: 48, Churn: c.churn, Cohort: c.cohort}
-			var out cell
-			if c.hosts == 0 {
-				h, err := host.New(host.Config{Mode: c.mode, RxFlows: -1, Audit: true, Serve: serve})
-				if err != nil {
-					return cell{}, err
-				}
-				fold(&out, h.Run(o.Warmup, o.RPCMeasure))
-				return out, nil
-			}
-			cl, err := host.NewCluster(host.ClusterConfig{
-				Hosts:   c.hosts,
-				Traffic: host.Pairs,
-				Host:    host.Config{Mode: c.mode, Audit: true, Serve: serve},
-			})
-			if err != nil {
-				return cell{}, err
-			}
-			r := cl.Run(o.Warmup, o.Measure)
-			for _, hr := range r.Hosts {
-				fold(&out, hr)
-			}
-			return out, nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: serving: %v", err))
-	}
-	for i, c := range cells {
-		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), cfgs[i].scope, f2(cfgs[i].churn),
-			fmt.Sprintf("%d", c.served), f1(c.gbps), f1(c.p99), f1(c.p999),
-			fmt.Sprintf("%d", c.deaths),
-			fmt.Sprintf("%d", c.allocs), fmt.Sprintf("%d", c.overflow),
-			fmt.Sprintf("%d", c.checked), fmt.Sprintf("%d", c.stale),
-		})
-	}
-	return t
-}
-
 // adaptivePhases runs the adaptive scenario's three cells — static
 // strict, static F&S, and F&S with the control plane attached — through
 // a three-phase run derived from o.Measure: a clean phase, a bounded
@@ -1278,24 +810,18 @@ func adaptivePhases(o Options) (rs []host.Results, warmup, e sim.Duration) {
 	plan := fault.Campaign(1)
 	plan.StrayDMA, plan.WildDMA = 0.05, 0.03
 	plan.Start, plan.For = warmup+2*e, 2*e
-	var specs []workload.Spec
-	for _, cell := range []struct {
-		mode core.Mode
-		ctl  *control.Config
-	}{{core.Strict, nil}, {core.FNS, nil}, {core.FNS, ctl}} {
-		s := workload.Iperf(cell.mode, 0, 0)
-		s.Host.Faults = plan
-		s.Host.FaultSeed = 1
-		s.Host.Audit = true
-		s.Host.MemHogGBps = 12
-		s.Host.MemHogStart = warmup + 4*e
+	cells := perMode([]core.Mode{core.Strict, core.FNS, core.FNS}, func(m core.Mode) cell {
+		s := workload.Iperf(m, 0, 0)
+		s.Host.Faults, s.Host.FaultSeed, s.Host.Audit = plan, 1, true
+		s.Host.MemHogGBps, s.Host.MemHogStart = 12, warmup+4*e
 		s.Host.Telemetry.SampleEvery = e
-		s.Host.Control = cell.ctl
-		s.Warmup = warmup
-		s.Measure = 8 * e
-		specs = append(specs, s)
+		return one(s)
+	})
+	cells[2].spec.Host.Control = ctl
+	for _, hosts := range run(cells, Options{Warmup: warmup, Measure: 8 * e, Parallel: o.Parallel}) {
+		rs = append(rs, hosts[0])
 	}
-	return runSpecsRaw(specs, o.Parallel), warmup, e
+	return rs, warmup, e
 }
 
 // adaptiveGoodput buckets one run's sampled goodput into the three
@@ -1339,7 +865,7 @@ func adaptiveGoodput(r host.Results, warmup, e sim.Duration) [3]float64 {
 	return out
 }
 
-// Adaptive runs the control plane against the static modes it arbitrates
+// adaptiveTable runs the control plane against the static modes it arbitrates
 // between (extension; ROADMAP item 4). Three cells share one three-phase
 // scenario: clean traffic, then a bounded burst of injected device
 // misbehaviour (stray/wild DMAs under the audit layer), then a memory-
@@ -1357,7 +883,7 @@ func adaptiveGoodput(r host.Results, warmup, e sim.Duration) [3]float64 {
 // goodput of that phase; the acceptance claim is the adaptive row's
 // three ratios ≥ 0.95 with at least two switches and zero stale-served
 // DMAs in every cell.
-func Adaptive(o Options) Table {
+func adaptiveTable(o Options) Table {
 	t := Table{ID: "adaptive", Title: "Adaptive control plane vs static modes across clean/burst/antagonist phases (extension)",
 		Header: []string{"mode", "clean_gbps", "burst_gbps", "memhog_gbps", "vs_ref_clean", "vs_ref_burst", "vs_ref_memhog", "switches", "checked", "blocked", "stale_served"}}
 	rs, warmup, e := adaptivePhases(o)
@@ -1375,10 +901,7 @@ func Adaptive(o Options) Table {
 		}
 	}
 	for i, r := range rs {
-		var s fault.SafetyReport
-		if r.Safety != nil {
-			s = *r.Safety
-		}
+		s := safety(r)
 		row := []string{labels[i]}
 		for p := 0; p < 3; p++ {
 			row = append(row, f1(goodput[i][p]))
@@ -1455,15 +978,9 @@ func clusterScaleTable(cells []clusterScaleCell, o Options) Table {
 		if c.shards > maxShards[k] {
 			maxShards[k] = c.shards
 		}
-		var stale int64
-		for _, h := range r.Hosts {
-			if h.Safety != nil {
-				stale += h.Safety.Violations()
-			}
-		}
 		t.Rows = append(t.Rows, []string{
 			string(c.traffic), fmt.Sprintf("%d", c.hosts), fmt.Sprintf("%d", c.shards),
-			f1(r.AggRxGbps), fmt.Sprintf("%d", cl.Rounds()), fmt.Sprintf("%d", stale),
+			f1(r.AggRxGbps), fmt.Sprintf("%d", cl.Rounds()), fmt.Sprintf("%d", r.Violations()),
 		})
 		t.Notes = append(t.Notes, fmt.Sprintf("%s hosts=%d shards=%d wall_ms=%d",
 			c.traffic, c.hosts, c.shards, elapsed.Milliseconds()))
@@ -1482,7 +999,7 @@ func clusterScaleTable(cells []clusterScaleCell, o Options) Table {
 	return t
 }
 
-// ClusterScale exercises the sharded conservative-parallel engine at the
+// clusterScale exercises the sharded conservative-parallel engine at the
 // paper's target cluster sizes. Its scaling story is pattern-dependent,
 // and deliberately so: the balanced pairs pattern spreads simulation
 // events almost evenly across shards (within a few percent), so its
@@ -1493,27 +1010,198 @@ func clusterScaleTable(cells []clusterScaleCell, o Options) Table {
 // demonstrates the engine scales, incast demonstrates the fidelity
 // columns (goodput, zero stale-served DMAs) are preserved at 64-256
 // hosts either way.
-func ClusterScale(o Options) Table {
+func clusterScale(o Options) Table {
 	return clusterScaleTable(clusterScaleGrid(), o)
 }
 
 // figures is the one registry of figure ids, in presentation order.
-// IDs, ByID and cmd/fsbench all derive from it.
-var figures = []struct {
-	ID string
-	Fn func(Options) Table
-}{
-	{"fig2", Fig2}, {"fig2e", Fig2e}, {"fig3", Fig3}, {"fig3e", Fig3e},
-	{"fig7", Fig7}, {"fig7e", Fig7e}, {"fig8", Fig8}, {"fig8e", Fig8e},
-	{"fig9", Fig9}, {"fig10", Fig10},
-	{"fig11a", Fig11a}, {"fig11b", Fig11b}, {"fig11c", Fig11c},
-	{"fig12", Fig12}, {"model", Model}, {"modes", Modes},
-	{"descsize", DescriptorSizes}, {"ptcache", CacheSizes}, {"huge", Hugepages},
-	{"memlat", MemoryLatency}, {"seeds", Seeds}, {"storage", Storage},
-	{"multidev", Multidev}, {"memhog", MemoryHog}, {"timeline", Timeline},
-	{"cpucost", CPUCost}, {"faults", Faults}, {"cluster", Cluster},
-	{"clusterscale", ClusterScale}, {"rdma", Rdma}, {"capability", Capability},
-	{"serving", Serving}, {"adaptive", Adaptive},
+// IDs, ByID and cmd/fsbench all derive from it. The paper's figures come
+// first (§2.2 and §4), then the extension tables.
+var figures = []figure{
+	// Figure 2 (a–d): Linux strict vs IOMMU off with increasing flow
+	// counts; 2e is the PTcache-L3 reuse-distance trace behind it, as the
+	// paper plots it (distribution of stack distances at allocation).
+	{ID: "fig2", title: "Linux strict vs IOMMU off, flow sweep (§2.2)",
+		axes: counterAxes, cells: flowCells(offStrict, false), cols: counterCols},
+	{ID: "fig2e", title: "PTcache-L3 locality, Linux strict, flow sweep",
+		axes: localityAxes, cells: flowCells([]core.Mode{core.Strict}, true), cols: localityCols},
+	// Figure 3: the ring-buffer-size sweep.
+	{ID: "fig3", title: "Linux strict vs IOMMU off, ring-size sweep (§2.2)",
+		axes: counterAxes, cells: ringCells(offStrict, false), cols: counterCols},
+	{ID: "fig3e", title: "PTcache-L3 locality, Linux strict, ring sweep",
+		axes: localityAxes, cells: ringCells([]core.Mode{core.Strict}, true), cols: localityCols},
+	// Figures 7 and 8: F&S eliminates the overheads of Figures 2 and 3.
+	{ID: "fig7", title: "F&S eliminates protection overheads, flow sweep (§4.1)",
+		axes: counterAxes, cells: flowCells(offStrictFNS, false), cols: counterCols},
+	{ID: "fig7e", title: "PTcache-L3 locality, F&S, flow sweep",
+		axes: localityAxes, cells: flowCells([]core.Mode{core.FNS}, true), cols: localityCols},
+	{ID: "fig8", title: "F&S under growing IO working sets, ring sweep (§4.1)",
+		axes: counterAxes, cells: ringCells(offStrictFNS, false), cols: counterCols},
+	{ID: "fig8e", title: "PTcache-L3 locality, F&S, ring sweep",
+		axes: localityAxes, cells: ringCells([]core.Mode{core.FNS}, true), cols: localityCols},
+	// Figure 9: RPC tail latency colocated with iperf, over the longer
+	// RPC window so the tails have samples.
+	{ID: "fig9", title: "RPC tail latency under colocated iperf (§4.1)",
+		axes: []string{"mode", "rpc_size"},
+		cells: grid(offStrictFNS, []int{128, 4096, 32768}, func(m core.Mode, size int) cell {
+			c := one(workload.RPC(m, size), fmt.Sprintf("%dB", size))
+			c.rpc = true
+			return c
+		}),
+		cols: []string{"p50_us", "p90_us", "p99_us", "p99.9_us", "p99.99_us", "rpcs"}},
+	// Figure 10: concurrent Rx and Tx bulk traffic, one core per flow.
+	{ID: "fig10", title: "Extreme Rx/Tx interference (§4.1)",
+		axes: []string{"mode", "core_pairs"},
+		cells: grid(offStrictFNS, []int{1, 2, 4}, func(m core.Mode, pairs int) cell {
+			return one(workload.Bidirectional(m, pairs), fmt.Sprintf("%d", pairs))
+		}),
+		cols: []string{"rx_gbps", "tx_gbps", "drop", "reads/pg"}},
+	// Figure 11: the Redis, Nginx and SPDK application sweeps.
+	{ID: "fig11a", title: "Redis SET throughput vs value size (§4.2)", axes: appAxes, cols: appCols,
+		cells: appCells(workload.Redis, 4<<10, 16<<10, 64<<10, 128<<10)},
+	{ID: "fig11b", title: "Nginx page throughput vs page size (§4.2)", axes: appAxes, cols: appCols,
+		cells: appCells(workload.Nginx, 128<<10, 512<<10, 2<<20)},
+	{ID: "fig11c", title: "SPDK read throughput vs block size (§4.2)", axes: appAxes, cols: appCols,
+		cells: appCells(workload.SPDK, 32<<10, 64<<10, 128<<10, 256<<10)},
+	// Figure 12: the ablation — Linux, Linux+A (preserve), Linux+B
+	// (contiguous+batched), F&S — on the Redis 8KB-value workload.
+	{ID: "fig12", title: "Contribution of each F&S idea, Redis 8KB values (§4.3)",
+		axes: []string{"config"},
+		cells: []cell{
+			one(workload.RedisAblation(core.Strict), "Linux"),
+			one(workload.RedisAblation(core.StrictPreserve), "Linux+A (preserve PTcaches)"),
+			one(workload.RedisAblation(core.StrictContig), "Linux+B (contig+batch)"),
+			one(workload.RedisAblation(core.FNS), "F&S"),
+		},
+		cols: []string{"app_gbps", "iotlb/pg", "ptL1/pg", "ptL3/pg", "reads/pg", "inv_reqs"}},
+	{ID: "model", Fn: modelTable},
+	// The safety/performance trade-off across every mode.
+	{ID: "modes", title: "All protection modes, default iperf (extension)",
+		axes: []string{"mode", "strict_safety"},
+		cells: perMode(core.Modes(), func(m core.Mode) cell {
+			return one(workload.Iperf(m, 0, 0), fmt.Sprintf("%v", m.StrictSafety()))
+		}),
+		cols: []string{"rx_gbps", "reads/pg", "inv_reqs", "stale_uses"}},
+	// F&S on devices with smaller descriptors, down to the single-page
+	// descriptor (Intel ICE, §3 generality), which only holds
+	// standard-MTU frames.
+	{ID: "descsize", title: "F&S vs strict across descriptor sizes (§3 generality)",
+		axes: []string{"mode", "desc_pages"},
+		cells: iperfWith(strictFNS, []int{1, 4, 16, 64}, "%d", func(c *host.Config, pages int) {
+			c.DescriptorPages = pages
+			if pages == 1 {
+				c.MTU, c.RingPackets = 1500, 512
+			}
+		}),
+		cols: []string{"rx_gbps", "reads/pg", "inv_reqs"}},
+	// The PTcache-L3 size: the footnote-3 sensitivity study.
+	{ID: "ptcache", title: "PTcache-L3 size sensitivity, Linux strict (extension)",
+		axes:  []string{"mode", "l3_entries"},
+		cells: iperfWith(strictFNS, []int{16, 32, 64, 128}, "%d", func(c *host.Config, n int) { c.IOMMU.L3Size = n }),
+		cols:  []string{"rx_gbps", "ptL3/pg", "reads/pg"}},
+	// The paper's §5 future work: F&S with 2MB hugepage-backed
+	// descriptors cuts the IOTLB miss count itself, at 2MB revocation
+	// granularity.
+	{ID: "huge", title: "F&S + hugepages: reducing the miss count too (§5 extension)",
+		axes:  []string{"mode", "flows"},
+		cells: iperfWith([]core.Mode{core.Strict, core.FNS, core.FNSHuge}, []int{5, 40}, "%d", func(c *host.Config, n int) { c.RxFlows = n }),
+		cols:  []string{"rx_gbps", "iotlb/pg", "reads/pg", "inv_reqs"}},
+	// The IOMMU-to-memory read latency l_m (§2.2 contention): higher
+	// memory latency inflates every walk, and F&S's ~1-read walks make it
+	// far less sensitive than strict's multi-read walks.
+	{ID: "memlat", title: "Sensitivity to memory read latency l_m (§2.2 contention, extension)",
+		axes:  []string{"mode", "lm_ns"},
+		cells: iperfWith(strictFNS, []sim.Duration{197, 300, 400}, "%d", func(c *host.Config, lm sim.Duration) { c.Lm = lm }),
+		cols:  []string{"rx_gbps", "reads/pg"}},
+	// Run-to-run variance across simulation seeds.
+	{ID: "seeds", title: "Throughput across simulation seeds (extension)",
+		axes:  []string{"mode", "seed"},
+		cells: iperfWith(strictFNS, []int64{1, 2, 3, 4}, "%d", func(c *host.Config, seed int64) { c.Seed = seed }),
+		cols:  []string{"rx_gbps", "reads/pg", "drop"}},
+	{ID: "storage", Fn: Storage},
+	{ID: "multidev", Fn: Multidev},
+	// A co-tenant memory antagonist: past the bus's calibration point
+	// every page-table read slows down, and strict mode's multi-read
+	// walks amplify the damage (§2.2's contention, emergent).
+	{ID: "memhog", title: "Memory-bandwidth antagonist (§2.2 contention, extension)",
+		axes:  []string{"mode", "hog_GBps"},
+		cells: iperfWith(offStrictFNS, []float64{0, 6, 12}, "%.0f", func(c *host.Config, hog float64) { c.MemHogGBps = hog }),
+		cols:  []string{"rx_gbps", "mem_util", "reads/pg"}},
+	{ID: "timeline", Fn: timelineTable},
+	{ID: "cpucost", Fn: CPUCost},
+	// The adversarial safety campaign: the canonical fault plan swept
+	// over intensity under the translation auditor. The paper's safety
+	// claim is the strict and fns rows: zero stale-served DMAs at every
+	// intensity, with F&S keeping ≥95% of its fault-free goodput. The
+	// unsafe defer-noshootdown rows must show nonzero stale_served — the
+	// proof the auditor can see violations.
+	{ID: "faults", title: "Fault-injection safety campaign: stale-served DMAs under the audit layer (extension)",
+		axes: []string{"mode", "intensity"},
+		cells: grid([]core.Mode{core.Strict, core.FNS, core.DeferNoShootdown}, []float64{0, 0.5, 1}, func(m core.Mode, x float64) cell {
+			s := workload.Iperf(m, 0, 0)
+			s.Host.Faults, s.Host.FaultSeed, s.Host.Audit = fault.Campaign(x), 1, true
+			return one(s, f2(x))
+		}),
+		cols: []string{"rx_gbps", "injected", "checked", "blocked", "stale_served", "retries"},
+		post: vsClean},
+	// The incast on N full hosts on the switched fabric: every sender
+	// pays its own Tx protection costs and the receiver its Rx costs.
+	// F&S saturates the receiver's downlink and stays there as senders
+	// are added; strict's multi-read walks first starve the senders and
+	// then the receiver, so its aggregate degrades past its peak. Every
+	// host runs the auditor.
+	{ID: "cluster", title: "Cluster incast: N full hosts on a switched fabric (extension)",
+		axes: []string{"mode", "hosts"},
+		cells: grid(strictFNS, []int{2, 4, 8, 12}, func(m core.Mode, n int) cell {
+			return many(host.ClusterConfig{Hosts: n, Traffic: host.Incast, Host: host.Config{Mode: m, Audit: true}}, fmt.Sprintf("%d", n))
+		}),
+		cols: []string{"agg_gbps", "recv_drop", "recv_reads/pg", "stale_per_host"}},
+	{ID: "clusterscale", Fn: clusterScale},
+	// Two-sided send/recv against one-sided WRITE as the device-side ATS
+	// cache grows from undersized to window-covering, on eight hosts in
+	// balanced pairs. One-sided flows beat CPU-paced send/recv at equal
+	// flow count (sink_cpu: the sink's cores leave the datapath), and
+	// the safety argument survives the device TLB: strict and F&S shoot
+	// the ATC down inside window recycling and audit zero stale DMAs,
+	// while defer-noshootdown re-points window pages without an
+	// invalidate and serves every resident translation stale once the
+	// cache can hold them — its goodput rises by skipping exactly the
+	// shoot-down the safe modes pay.
+	{ID: "rdma", title: "One-sided RDMA through a device-side ATS cache: goodput and audited safety (extension)",
+		axes: []string{"mode", "op", "ats_entries"},
+		cells: grid([]core.Mode{core.Strict, core.FNS, core.DeferNoShootdown}, rdmaOps, func(m core.Mode, p rdmaOp) cell {
+			return many(host.ClusterConfig{Hosts: 8, Traffic: host.Pairs, Op: p.op,
+				Host: host.Config{Mode: m, Audit: true, ATSEntries: p.ats}}, p.op.String(), fmt.Sprintf("%d", p.ats))
+		}),
+		cols: []string{"agg_gbps", "sink_cpu", "atc_hit_rate", "atc_invalidated", "stale_ats", "stale_total"}},
+	// The page-table family against the CAPIO-style capability family
+	// (see capabilityCell for the four workloads). cap's O(1)
+	// grant/revoke wins on short-lived buffers; F&S's contiguous
+	// mappings and batched invalidations win on bulk; cap domains never
+	// attach an ATC, so a window re-grant is the whole revocation. cap
+	// audits strict-equivalent (zero stale-served everywhere), while
+	// cap-lazyrevoke batches revocations the way deferred batches IOTLB
+	// flushes and exposes the same bounded stale window.
+	{ID: "capability", title: "Capability-table protection: page-table family vs capability family on goodput and audited safety (extension)",
+		axes:  []string{"mode", "workload"},
+		cells: grid([]core.Mode{core.Strict, core.FNS, core.Cap, core.CapLazyRevoke}, []string{"shortlived", "bulk", "faults", "rdma"}, capabilityCell),
+		cols:  []string{"gbps", "reads/pg", "inv_reqs", "cap_checks", "cap_revocations", "checked", "stale_served"}},
+	// An open-loop fleet of 48 heavy-tailed request/response connections
+	// per host, each dying with the row's probability per request and
+	// reborn with a fresh DMA buffer, so map/unmap and IOVA alloc/free
+	// rates scale with churn (see servingCells for the rows). Strict's
+	// per-buffer alloc/free falls off the rcache fast path into tree
+	// allocations (iova_allocs; at high churn the depot-overflow flush),
+	// inflating its tails, while F&S's preserved caches keep the fast
+	// path hot. The cohort8 rows' counter columns equal the exact
+	// churn-0.20 rows by the cohort grouping-invariance contract; the
+	// 8-host rows' tails are the worst host and counts are summed.
+	// stale_served must be zero in every row.
+	{ID: "serving", title: "Serving-fleet churn: open-loop heavy tails, connection churn, flow cohorts (extension)",
+		axes:  []string{"mode", "scope", "churn"},
+		cells: servingCells(),
+		cols:  []string{"served", "serve_gbps", "p99_us", "p999_us", "deaths", "iova_allocs", "overflow", "checked", "stale_served"}},
+	{ID: "adaptive", Fn: adaptiveTable},
 }
 
 // ByID returns one table by its figure id. Each figure fans its own
@@ -1522,7 +1210,10 @@ var figures = []struct {
 func ByID(id string, o Options) (Table, error) {
 	for _, f := range figures {
 		if f.ID == id {
-			return f.Fn(o), nil
+			if f.Fn != nil {
+				return f.Fn(o), nil
+			}
+			return f.table(o), nil
 		}
 	}
 	return Table{}, fmt.Errorf("experiments: unknown figure %q (see IDs())", id)

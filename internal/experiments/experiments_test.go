@@ -19,6 +19,16 @@ func tiny() Options {
 	return o
 }
 
+// byID runs one registered figure, failing the test on an unknown id.
+func byID(t *testing.T, id string, o Options) Table {
+	t.Helper()
+	tab, err := ByID(id, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 // TestIDsAllResolvable checks that every registered figure renders a
 // well-formed table under its own registry id. Every figure is golden, so
 // each is checked on the run it shares with TestGoldenFiguresByteIdentical
@@ -44,7 +54,7 @@ func TestIDsAllResolvable(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	tab := Fig12(tiny())
+	tab := byID(t, "fig12", tiny())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig12 rows = %d, want 4 configurations", len(tab.Rows))
 	}
@@ -58,14 +68,14 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	tab := Fig10(tiny())
+	tab := byID(t, "fig10", tiny())
 	if len(tab.Rows) != 9 {
 		t.Fatalf("fig10 rows = %d, want 3 modes x 3 core counts", len(tab.Rows))
 	}
 }
 
 func TestFig2eLocality(t *testing.T) {
-	tab := Fig2e(tiny())
+	tab := byID(t, "fig2e", tiny())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig2e rows = %d", len(tab.Rows))
 	}
@@ -77,7 +87,7 @@ func TestFig2eLocality(t *testing.T) {
 }
 
 func TestModelTableIncludesFit(t *testing.T) {
-	tab := Model(tiny())
+	tab := byID(t, "model", tiny())
 	found := false
 	for _, row := range tab.Rows {
 		if row[0] == "fit" {
@@ -114,19 +124,19 @@ func TestByIDRunsOneFigure(t *testing.T) {
 
 func TestExtensionTablesShape(t *testing.T) {
 	o := tiny()
-	if tab := Hugepages(o); len(tab.Rows) != 6 {
+	if tab := byID(t, "huge", o); len(tab.Rows) != 6 {
 		t.Fatalf("huge rows = %d", len(tab.Rows))
 	}
-	if tab := CPUCost(o); len(tab.Rows) != 8 {
+	if tab := byID(t, "cpucost", o); len(tab.Rows) != 8 {
 		t.Fatalf("cpucost rows = %d", len(tab.Rows))
 	}
-	if tab := Storage(o); len(tab.Rows) != 6 {
+	if tab := byID(t, "storage", o); len(tab.Rows) != 6 {
 		t.Fatalf("storage rows = %d", len(tab.Rows))
 	}
-	if tab := MemoryHog(o); len(tab.Rows) != 9 {
+	if tab := byID(t, "memhog", o); len(tab.Rows) != 9 {
 		t.Fatalf("memhog rows = %d", len(tab.Rows))
 	}
-	if tab := Seeds(o); len(tab.Rows) != 8 {
+	if tab := byID(t, "seeds", o); len(tab.Rows) != 8 {
 		t.Fatalf("seeds rows = %d", len(tab.Rows))
 	}
 }
@@ -136,7 +146,7 @@ func TestExtensionTablesShape(t *testing.T) {
 // degrades past its peak, F&S beats strict at every size, and no host
 // ever serves a stale DMA.
 func TestClusterTrends(t *testing.T) {
-	tab := Cluster(tiny())
+	tab := byID(t, "cluster", tiny())
 	agg := map[string][]float64{}
 	for _, row := range tab.Rows {
 		v, err := strconv.ParseFloat(row[2], 64)
@@ -181,7 +191,7 @@ func TestClusterTrends(t *testing.T) {
 // capacity while the no-shootdown strawman serves stale ATC entries as
 // soon as the cache can hold its window.
 func TestRdmaTrends(t *testing.T) {
-	tab := Rdma(tiny())
+	tab := byID(t, "rdma", tiny())
 	type cell struct {
 		agg      float64
 		staleATS int64
@@ -230,7 +240,7 @@ func TestRdmaTrends(t *testing.T) {
 // columns identical to the exact churn-0.20 host rows (the grouping-
 // invariance contract surfaced in the published table).
 func TestServingTrends(t *testing.T) {
-	tab := Serving(tiny())
+	tab := byID(t, "serving", tiny())
 	type row struct {
 		served, deaths, allocs, checked string
 		p99                             float64
@@ -320,8 +330,8 @@ func TestParallelFigureMatchesSerial(t *testing.T) {
 	serialOpts.Parallel = 1
 	parOpts := tiny()
 	parOpts.Parallel = 8
-	serial := Modes(serialOpts)
-	par := Modes(parOpts)
+	serial := byID(t, "modes", serialOpts)
+	par := byID(t, "modes", parOpts)
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("parallel table diverges from serial:\n%s\nvs\n%s", par, serial)
 	}
@@ -334,5 +344,29 @@ func TestCSVFormat(t *testing.T) {
 	want := "a,b\n1,2\n3,4\n"
 	if got != want {
 		t.Fatalf("CSV = %q, want %q", got, want)
+	}
+}
+
+// TestFigureColumnsKnown checks that every grid figure names only
+// columns the column table defines and has one label per axis in every
+// cell, without running any simulation.
+func TestFigureColumnsKnown(t *testing.T) {
+	for _, f := range figures {
+		if f.Fn != nil {
+			continue
+		}
+		if len(f.cells) == 0 {
+			t.Errorf("%s: no cells", f.ID)
+		}
+		for _, k := range f.cols {
+			if columns[k].val == nil {
+				t.Errorf("%s: column %q is not in the column table", f.ID, k)
+			}
+		}
+		for i, c := range f.cells {
+			if len(c.labels) != len(f.axes) {
+				t.Errorf("%s cell %d: %d labels for %d axes", f.ID, i, len(c.labels), len(f.axes))
+			}
+		}
 	}
 }
