@@ -285,6 +285,26 @@ func fracAbove(n int) func(host.Results) float64 {
 	}
 }
 
+// storageOps is the blocks the host's storage devices completed.
+func storageOps(r host.Results) float64 {
+	var n int64
+	for _, dev := range r.Devices {
+		if dev.Kind == "storage" {
+			n += dev.Ops
+		}
+	}
+	return float64(n)
+}
+
+// cpuPerGB is the protection CPU time, in ms, per GB received.
+func cpuPerGB(r host.Results) float64 {
+	gb := r.RxGbps * float64(r.Measure) / 8e9
+	if gb <= 0 {
+		return 0
+	}
+	return float64(r.ProtectionCPU) / 1e6 / gb
+}
+
 // latency is exchange-latency percentile i of Results.Percentiles, in ns.
 func latency(i int) func(host.Results) float64 {
 	return func(r host.Results) float64 { return float64(r.Percentiles()[i]) }
@@ -319,6 +339,8 @@ var columns = map[string]column{
 	"cap_revocations": {sumOver, d, func(r host.Results) float64 { return float64(r.CapRevocations) }},
 	"atc_hit_rate":    {atSink, f3, func(r host.Results) float64 { return nic0(r).ATSHitRate }},
 	"atc_invalidated": {atSink, d, func(r host.Results) float64 { return float64(nic0(r).ATCInvalidations) }},
+	"blocks":          {atSink, d, storageOps},
+	"cpu_ms_per_GB":   {atSink, f2, cpuPerGB},
 
 	// Locality trace (Figures 2e/3e/7e/8e): PTcache-L3 stack distances at
 	// allocation.
@@ -611,167 +633,6 @@ func timelineTable(o Options) Table {
 				f2(series["mem_util"].Values[i]),
 			})
 		}
-	}
-	return t
-}
-
-// Storage explores cross-device IOMMU contention (extension): an
-// NVMe-style storage device shares the IOMMU with the NIC; under strict
-// mode its per-block map/unmap/invalidate traffic pollutes the caches the
-// network datapath depends on.
-func Storage(o Options) Table {
-	t := Table{ID: "storage", Title: "Cross-device IOMMU contention: NIC + storage (extension)",
-		Header: []string{"mode", "storage_GBps", "rx_gbps", "iotlb/pg", "reads/pg", "blocks"}}
-	type cell struct {
-		r      host.Results
-		blocks int64
-	}
-	type cfg struct {
-		mode core.Mode
-		gbps float64
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, gbps := range []float64{0, 4, 8} {
-			cfgs = append(cfgs, cfg{mode, gbps})
-		}
-	}
-	jobs := make([]runner.Job[cell], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (cell, error) {
-			h, err := host.New(host.Config{Mode: c.mode})
-			if err != nil {
-				return cell{}, err
-			}
-			var dev interface{ Blocks() int64 }
-			if c.gbps > 0 {
-				dev = h.InstallStorage(host.StorageConfig{ReadGBps: c.gbps})
-			}
-			r := h.Run(o.Warmup, o.Measure)
-			out := cell{r: r}
-			if dev != nil {
-				out.blocks = dev.Blocks()
-			}
-			return out, nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: storage: %v", err))
-	}
-	for i, c := range cells {
-		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), fmt.Sprintf("%.0f", cfgs[i].gbps),
-			f1(c.r.RxGbps), f2(c.r.IOTLBPerPage), f2(c.r.ReadsPerPage),
-			fmt.Sprintf("%d", c.blocks),
-		})
-	}
-	return t
-}
-
-// Multidev sweeps the number of co-tenant storage devices sharing the
-// IOMMU with the NIC (extension over the storage figure's single
-// device): the paper's §1 point that one IOMMU serves every DMA device
-// on the host, so strict-mode invalidation traffic scales with device
-// count while F&S's contiguous mappings and IOTLB-only invalidations
-// keep the network datapath's goodput flat.
-func Multidev(o Options) Table {
-	t := Table{ID: "multidev", Title: "Multi-device interference: NIC vs N storage co-tenants (extension)",
-		Header: []string{"mode", "devices", "nic_gbps", "iotlb/pg", "reads/pg", "inv_total", "blocks"}}
-	type cell struct {
-		r      host.Results
-		blocks int64
-	}
-	type cfg struct {
-		mode core.Mode
-		devs int
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, devs := range []int{0, 1, 2, 4} {
-			cfgs = append(cfgs, cfg{mode, devs})
-		}
-	}
-	jobs := make([]runner.Job[cell], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (cell, error) {
-			topo := host.Topology{}
-			for d := 0; d < c.devs; d++ {
-				// 1.5GB/s per device: enough aggregate DMA to collapse
-				// strict mode at four co-tenants while staying under the
-				// point where raw memory-bus and shared-IOTLB capacity
-				// pressure drags F&S down too (that regime is mode-
-				// independent and says nothing about protection cost).
-				topo.Storage = append(topo.Storage, host.StorageSpec{ReadGBps: 1.5})
-			}
-			h, err := host.New(host.Config{Mode: c.mode, Topology: topo})
-			if err != nil {
-				return cell{}, err
-			}
-			r := h.Run(o.Warmup, o.Measure)
-			out := cell{r: r}
-			for _, d := range h.Devices() {
-				if d.Kind() == "storage" {
-					out.blocks += d.Stats().Ops
-				}
-			}
-			return out, nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: multidev: %v", err))
-	}
-	for i, c := range cells {
-		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), fmt.Sprintf("%d", cfgs[i].devs),
-			f1(c.r.RxGbps), f2(c.r.IOTLBPerPage), f2(c.r.ReadsPerPage),
-			fmt.Sprintf("%d", c.r.InvRequests), fmt.Sprintf("%d", c.blocks),
-		})
-	}
-	return t
-}
-
-// CPUCost reports the driver-side protection CPU time per gigabyte moved —
-// the per-core efficiency angle of [39, 42] that motivates F&S's batched
-// invalidations (extension).
-func CPUCost(o Options) Table {
-	t := Table{ID: "cpucost", Title: "Protection CPU cost per GB (extension, cf. [39, 42])",
-		Header: []string{"mode", "rx_gbps", "cpu_ms_per_GB", "inv_reqs"}}
-	type cell struct {
-		r   host.Results
-		cpu sim.Duration
-	}
-	modes := core.Modes()
-	jobs := make([]runner.Job[cell], len(modes))
-	for i, mode := range modes {
-		mode := mode
-		jobs[i] = func(context.Context) (cell, error) {
-			s := workload.Iperf(mode, 0, 0)
-			h, err := host.New(s.Host)
-			if err != nil {
-				return cell{}, err
-			}
-			before := h.Domain().Counters().CPUTime
-			r := h.Run(o.Warmup, o.Measure)
-			return cell{r: r, cpu: h.Domain().Counters().CPUTime - before}, nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: cpucost: %v", err))
-	}
-	for _, c := range cells {
-		gb := c.r.RxGbps * float64(c.r.Measure) / 8e9 // GB moved in the window
-		ms := 0.0
-		if gb > 0 {
-			ms = float64(c.cpu) / 1e6 / gb
-		}
-		t.Rows = append(t.Rows, []string{
-			c.r.Mode.String(), f1(c.r.RxGbps), f2(ms), fmt.Sprintf("%d", c.r.InvRequests),
-		})
 	}
 	return t
 }
@@ -1118,8 +979,33 @@ var figures = []figure{
 		axes:  []string{"mode", "seed"},
 		cells: iperfWith(strictFNS, []int64{1, 2, 3, 4}, "%d", func(c *host.Config, seed int64) { c.Seed = seed }),
 		cols:  []string{"rx_gbps", "reads/pg", "drop"}},
-	{ID: "storage", Fn: Storage},
-	{ID: "multidev", Fn: Multidev},
+	// Cross-device IOMMU contention: an NVMe-style storage device shares
+	// the IOMMU with the NIC, and under strict mode its per-block
+	// map/unmap/invalidate traffic pollutes the caches the network
+	// datapath depends on.
+	{ID: "storage", title: "Cross-device IOMMU contention: NIC + storage (extension)",
+		axes: []string{"mode", "storage_GBps"},
+		cells: iperfWith(strictFNS, []float64{0, 4, 8}, "%.0f", func(c *host.Config, gbps float64) {
+			if gbps > 0 {
+				c.Topology.Storage = []host.StorageSpec{{ReadGBps: gbps}}
+			}
+		}),
+		cols: []string{"rx_gbps", "iotlb/pg", "reads/pg", "blocks"}},
+	// N co-tenant storage devices (§1: one IOMMU serves every DMA device
+	// on the host): strict-mode invalidation traffic scales with device
+	// count while F&S's contiguous mappings and IOTLB-only invalidations
+	// keep the NIC's goodput flat. 1.5GB/s per device collapses strict at
+	// four co-tenants while staying under the point where raw memory-bus
+	// and shared-IOTLB pressure drags F&S down too (a mode-independent
+	// regime that says nothing about protection cost).
+	{ID: "multidev", title: "Multi-device interference: NIC vs N storage co-tenants (extension)",
+		axes: []string{"mode", "devices"},
+		cells: iperfWith(strictFNS, []int{0, 1, 2, 4}, "%d", func(c *host.Config, n int) {
+			for range n {
+				c.Topology.Storage = append(c.Topology.Storage, host.StorageSpec{ReadGBps: 1.5})
+			}
+		}),
+		cols: []string{"nic_gbps", "iotlb/pg", "reads/pg", "inv_total", "blocks"}},
 	// A co-tenant memory antagonist: past the bus's calibration point
 	// every page-table read slows down, and strict mode's multi-read
 	// walks amplify the damage (§2.2's contention, emergent).
@@ -1128,7 +1014,13 @@ var figures = []figure{
 		cells: iperfWith(offStrictFNS, []float64{0, 6, 12}, "%.0f", func(c *host.Config, hog float64) { c.MemHogGBps = hog }),
 		cols:  []string{"rx_gbps", "mem_util", "reads/pg"}},
 	{ID: "timeline", Fn: timelineTable},
-	{ID: "cpucost", Fn: CPUCost},
+	// Driver-side protection CPU time per GB moved, over the measure
+	// window: the per-core efficiency angle of [39, 42] that motivates
+	// F&S's batched invalidations.
+	{ID: "cpucost", title: "Protection CPU cost per GB (extension, cf. [39, 42])",
+		axes:  []string{"mode"},
+		cells: perMode(core.Modes(), func(m core.Mode) cell { return one(workload.Iperf(m, 0, 0)) }),
+		cols:  []string{"rx_gbps", "cpu_ms_per_GB", "inv_reqs"}},
 	// The adversarial safety campaign: the canonical fault plan swept
 	// over intensity under the translation auditor. The paper's safety
 	// claim is the strict and fns rows: zero stale-served DMAs at every

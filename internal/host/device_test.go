@@ -174,3 +174,40 @@ func TestTopologyExtraNIC(t *testing.T) {
 		t.Fatal("DeviceTable rendered empty")
 	}
 }
+
+// TestWindowedCountsExcludeWarmup checks that the window's protection CPU
+// and per-device operation counts are the full run's totals minus what a
+// warmup-only run of the same configuration accumulates, so neither
+// counts warmup work against the window's goodput.
+func TestWindowedCountsExcludeWarmup(t *testing.T) {
+	const warmup, measure = 2 * sim.Millisecond, 3 * sim.Millisecond
+	cfg := Config{Mode: core.Strict, Topology: Topology{Storage: []StorageSpec{{ReadGBps: 4}}}}
+	totals := func(window sim.Duration) (Results, sim.Duration, []int64) {
+		h, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := h.Run(warmup, window)
+		var ops []int64
+		for _, d := range h.Devices() {
+			ops = append(ops, d.Stats().Ops)
+		}
+		return r, h.Domain().Counters().CPUTime, ops
+	}
+	r, fullCPU, fullOps := totals(measure)
+	_, warmCPU, warmOps := totals(0)
+	if r.ProtectionCPU <= 0 || warmCPU <= 0 {
+		t.Fatalf("vacuous: window CPU %v, warmup CPU %v", r.ProtectionCPU, warmCPU)
+	}
+	if want := fullCPU - warmCPU; r.ProtectionCPU != want {
+		t.Errorf("ProtectionCPU = %v, want full %v - warmup %v = %v", r.ProtectionCPU, fullCPU, warmCPU, want)
+	}
+	if len(r.Devices) != 2 || r.Devices[1].Kind != "storage" || warmOps[1] == 0 {
+		t.Fatalf("want a nic and a storage device with warmup ops, got %+v (warmup ops %v)", r.Devices, warmOps)
+	}
+	for i, d := range r.Devices {
+		if want := fullOps[i] - warmOps[i]; d.Ops != want {
+			t.Errorf("%s: Ops = %d, want full %d - warmup %d = %d", d.Name, d.Ops, fullOps[i], warmOps[i], want)
+		}
+	}
+}

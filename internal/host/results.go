@@ -54,6 +54,10 @@ type Results struct {
 	Timeouts    int64
 	Retransmits int64
 
+	// ProtectionCPU is the driver-side protection CPU time the primary
+	// NIC's domain charged over the window (map, unmap, invalidate).
+	ProtectionCPU sim.Duration
+
 	// Capability-family accounting over the window: DMA validations
 	// against a capability table, grants killed (revokes plus
 	// overwriting re-grants), and DMAs denied for want of a grant. All
@@ -126,6 +130,7 @@ type DeviceResults struct {
 	Kind string // "nic", "storage", ...
 	Mode core.Mode
 
+	Ops           int64   // DMA operations the device completed in the window
 	GoodputGbps   float64 // payload the device moved in the window
 	MissesPerPage float64 // shared-IOTLB misses per 4KB page of that payload
 	WalkReads     int64   // page-table memory reads its translations caused
@@ -364,6 +369,7 @@ func (h *Host) results(before, after snapshot) Results {
 	r.StaleIOTLB = after.mmu.StaleIOTLBUses - before.mmu.StaleIOTLBUses
 	r.StalePT = after.mmu.StalePTUses - before.mmu.StalePTUses
 	r.InvRequests = after.mmu.InvRequests - before.mmu.InvRequests
+	r.ProtectionCPU = after.dom.CPUTime - before.dom.CPUTime
 	r.CapChecks = after.mmu.CapChecks - before.mmu.CapChecks
 	r.CapRevocations = after.mmu.CapRevocations - before.mmu.CapRevocations
 	r.CapDenied = after.mmu.CapDenied - before.mmu.CapDenied
@@ -404,6 +410,7 @@ func (h *Host) results(before, after snapshot) Results {
 			Name:          d.Name(),
 			Kind:          d.Kind(),
 			Mode:          d.Domain().Mode(),
+			Ops:           a.st.Ops - b.st.Ops,
 			GoodputGbps:   stats.Gbps(bytes, int64(dt)),
 			MissesPerPage: stats.PerPage(a.mmu.IOTLBMisses-b.mmu.IOTLBMisses, bytes),
 			WalkReads:     a.mmu.MemReads - b.mmu.MemReads,
