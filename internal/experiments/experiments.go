@@ -257,32 +257,28 @@ func nic0(r host.Results) host.DeviceResults {
 	return r.Devices[0]
 }
 
+// l3Trace is a run's PTcache-L3 locality trace, empty when none was
+// recorded.
+func l3Trace(r host.Results) *stats.ReuseTrace {
+	if r.Trace == nil {
+		return &stats.ReuseTrace{}
+	}
+	return r.Trace
+}
+
 // meanDist is the mean PTcache-L3 stack distance over warm allocations.
 func meanDist(r host.Results) float64 {
 	warm, sum := 0, 0
-	if r.Trace != nil {
-		for _, dist := range r.Trace.Dists {
-			if dist >= 0 {
-				warm++
-				sum += dist
-			}
+	for _, dist := range l3Trace(r).Dists {
+		if dist >= 0 {
+			warm++
+			sum += dist
 		}
 	}
 	if warm == 0 {
 		return 0
 	}
 	return float64(sum) / float64(warm)
-}
-
-// fracAbove is the share of locality-trace allocations at stack distance
-// n or more.
-func fracAbove(n int) func(host.Results) float64 {
-	return func(r host.Results) float64 {
-		if r.Trace == nil {
-			return 0
-		}
-		return r.Trace.FractionAbove(n)
-	}
 }
 
 // storageOps is the blocks the host's storage devices completed.
@@ -344,16 +340,11 @@ var columns = map[string]column{
 
 	// Locality trace (Figures 2e/3e/7e/8e): PTcache-L3 stack distances at
 	// allocation.
-	"allocs": {atSink, d, func(r host.Results) float64 {
-		if r.Trace == nil {
-			return 0
-		}
-		return float64(len(r.Trace.Dists))
-	}},
+	"allocs":    {atSink, d, func(r host.Results) float64 { return float64(len(l3Trace(r).Dists)) }},
 	"mean_dist": {atSink, f2, meanDist},
-	"frac>=32":  {atSink, f3, fracAbove(32)},
-	"frac>=64":  {atSink, f3, fracAbove(64)},
-	"frac>=128": {atSink, f3, fracAbove(128)},
+	"frac>=32":  {atSink, f3, func(r host.Results) float64 { return l3Trace(r).FractionAbove(32) }},
+	"frac>=64":  {atSink, f3, func(r host.Results) float64 { return l3Trace(r).FractionAbove(64) }},
+	"frac>=128": {atSink, f3, func(r host.Results) float64 { return l3Trace(r).FractionAbove(128) }},
 
 	// Latency: exchange percentiles (the serving fleet's when it runs),
 	// tails as the worst host.
@@ -502,19 +493,19 @@ func iperfWith[P any](modes []core.Mode, params []P, label string, set func(*hos
 }
 
 // vsClean inserts faults' goodput_vs_clean column after rx_gbps: each
-// row's goodput over its mode's intensity-0 row, the fault-free baseline.
+// row's goodput over its mode's intensity-0 row, the fault-free baseline
+// that starts each mode's sweep.
 func vsClean(t *Table, cells []cell, rs [][]host.Results) {
-	clean := map[string]float64{}
-	for i, c := range cells {
-		if c.labels[1] == f2(0) {
-			clean[c.labels[0]] = rs[i][0].RxGbps
-		}
-	}
 	t.Header = slices.Insert(t.Header, 3, "goodput_vs_clean")
+	var clean float64
 	for i, c := range cells {
+		rx := rs[i][0].RxGbps
+		if c.labels[1] == f2(0) {
+			clean = rx
+		}
 		ratio := 0.0
-		if base := clean[c.labels[0]]; base > 0 {
-			ratio = rs[i][0].RxGbps / base
+		if clean > 0 {
+			ratio = rx / clean
 		}
 		t.Rows[i] = slices.Insert(t.Rows[i], 3, f2(ratio))
 	}
@@ -573,7 +564,9 @@ func servingCells() []cell {
 		c.rpc = true
 		return c
 	}
-	single := grid(modes, []fleet{{"host", 0.05, 1, 0}, {"host", 0.2, 1, 0}, {"host", 0.5, 1, 0}, {"cohort8", 0.2, 8, 0}}, mk)
+	single := grid(modes, []fleet{
+		{"host", 0.05, 1, 0}, {"host", 0.2, 1, 0}, {"host", 0.5, 1, 0}, {"cohort8", 0.2, 8, 0},
+	}, mk)
 	return append(single, grid(modes, []fleet{{"8-host", 0.2, 1, 8}}, mk)...)
 }
 
@@ -673,8 +666,11 @@ func adaptivePhases(o Options) (rs []host.Results, warmup, e sim.Duration) {
 	plan.Start, plan.For = warmup+2*e, 2*e
 	cells := perMode([]core.Mode{core.Strict, core.FNS, core.FNS}, func(m core.Mode) cell {
 		s := workload.Iperf(m, 0, 0)
-		s.Host.Faults, s.Host.FaultSeed, s.Host.Audit = plan, 1, true
-		s.Host.MemHogGBps, s.Host.MemHogStart = 12, warmup+4*e
+		s.Host.Faults = plan
+		s.Host.FaultSeed = 1
+		s.Host.Audit = true
+		s.Host.MemHogGBps = 12
+		s.Host.MemHogStart = warmup + 4*e
 		s.Host.Telemetry.SampleEvery = e
 		return one(s)
 	})
@@ -726,8 +722,8 @@ func adaptiveGoodput(r host.Results, warmup, e sim.Duration) [3]float64 {
 	return out
 }
 
-// adaptiveTable runs the control plane against the static modes it arbitrates
-// between (extension; ROADMAP item 4). Three cells share one three-phase
+// adaptiveTable runs the control plane against the static modes it
+// arbitrates between (extension). Three cells share one three-phase
 // scenario: clean traffic, then a bounded burst of injected device
 // misbehaviour (stray/wild DMAs under the audit layer), then a memory-
 // bandwidth antagonist. Static strict pays for its per-buffer
@@ -755,14 +751,10 @@ func adaptiveTable(o Options) Table {
 	}
 	// The per-phase reference is the better static mode's goodput.
 	var ref [3]float64
-	for p := 0; p < 3; p++ {
-		ref[p] = goodput[0][p]
-		if goodput[1][p] > ref[p] {
-			ref[p] = goodput[1][p]
-		}
+	for p := range ref {
+		ref[p] = max(goodput[0][p], goodput[1][p])
 	}
 	for i, r := range rs {
-		s := safety(r)
 		row := []string{labels[i]}
 		for p := 0; p < 3; p++ {
 			row = append(row, f1(goodput[i][p]))
@@ -774,10 +766,10 @@ func adaptiveTable(o Options) Table {
 			}
 			row = append(row, f2(ratio))
 		}
-		row = append(row,
-			fmt.Sprintf("%d", len(r.Control)),
-			fmt.Sprintf("%d", s.Checked), fmt.Sprintf("%d", s.Blocked),
-			fmt.Sprintf("%d", s.Violations()))
+		row = append(row, fmt.Sprintf("%d", len(r.Control)))
+		for _, k := range []string{"checked", "blocked", "stale_served"} {
+			row = append(row, columns[k].read(rs[i:i+1], 0))
+		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t
@@ -964,9 +956,11 @@ var figures = []figure{
 	// descriptors cuts the IOTLB miss count itself, at 2MB revocation
 	// granularity.
 	{ID: "huge", title: "F&S + hugepages: reducing the miss count too (§5 extension)",
-		axes:  []string{"mode", "flows"},
-		cells: iperfWith([]core.Mode{core.Strict, core.FNS, core.FNSHuge}, []int{5, 40}, "%d", func(c *host.Config, n int) { c.RxFlows = n }),
-		cols:  []string{"rx_gbps", "iotlb/pg", "reads/pg", "inv_reqs"}},
+		axes: []string{"mode", "flows"},
+		cells: iperfWith([]core.Mode{core.Strict, core.FNS, core.FNSHuge}, []int{5, 40}, "%d", func(c *host.Config, n int) {
+			c.RxFlows = n
+		}),
+		cols: []string{"rx_gbps", "iotlb/pg", "reads/pg", "inv_reqs"}},
 	// The IOMMU-to-memory read latency l_m (§2.2 contention): higher
 	// memory latency inflates every walk, and F&S's ~1-read walks make it
 	// far less sensitive than strict's multi-read walks.
@@ -1031,7 +1025,9 @@ var figures = []figure{
 		axes: []string{"mode", "intensity"},
 		cells: grid([]core.Mode{core.Strict, core.FNS, core.DeferNoShootdown}, []float64{0, 0.5, 1}, func(m core.Mode, x float64) cell {
 			s := workload.Iperf(m, 0, 0)
-			s.Host.Faults, s.Host.FaultSeed, s.Host.Audit = fault.Campaign(x), 1, true
+			s.Host.Faults = fault.Campaign(x)
+			s.Host.FaultSeed = 1
+			s.Host.Audit = true
 			return one(s, f2(x))
 		}),
 		cols: []string{"rx_gbps", "injected", "checked", "blocked", "stale_served", "retries"},
@@ -1045,7 +1041,11 @@ var figures = []figure{
 	{ID: "cluster", title: "Cluster incast: N full hosts on a switched fabric (extension)",
 		axes: []string{"mode", "hosts"},
 		cells: grid(strictFNS, []int{2, 4, 8, 12}, func(m core.Mode, n int) cell {
-			return many(host.ClusterConfig{Hosts: n, Traffic: host.Incast, Host: host.Config{Mode: m, Audit: true}}, fmt.Sprintf("%d", n))
+			return many(host.ClusterConfig{
+				Hosts:   n,
+				Traffic: host.Incast,
+				Host:    host.Config{Mode: m, Audit: true},
+			}, fmt.Sprintf("%d", n))
 		}),
 		cols: []string{"agg_gbps", "recv_drop", "recv_reads/pg", "stale_per_host"}},
 	{ID: "clusterscale", Fn: clusterScale},
@@ -1075,9 +1075,10 @@ var figures = []figure{
 	// cap-lazyrevoke batches revocations the way deferred batches IOTLB
 	// flushes and exposes the same bounded stale window.
 	{ID: "capability", title: "Capability-table protection: page-table family vs capability family on goodput and audited safety (extension)",
-		axes:  []string{"mode", "workload"},
-		cells: grid([]core.Mode{core.Strict, core.FNS, core.Cap, core.CapLazyRevoke}, []string{"shortlived", "bulk", "faults", "rdma"}, capabilityCell),
-		cols:  []string{"gbps", "reads/pg", "inv_reqs", "cap_checks", "cap_revocations", "checked", "stale_served"}},
+		axes: []string{"mode", "workload"},
+		cells: grid([]core.Mode{core.Strict, core.FNS, core.Cap, core.CapLazyRevoke},
+			[]string{"shortlived", "bulk", "faults", "rdma"}, capabilityCell),
+		cols: []string{"gbps", "reads/pg", "inv_reqs", "cap_checks", "cap_revocations", "checked", "stale_served"}},
 	// An open-loop fleet of 48 heavy-tailed request/response connections
 	// per host, each dying with the row's probability per request and
 	// reborn with a fresh DMA buffer, so map/unmap and IOVA alloc/free
