@@ -1,8 +1,9 @@
 package fastsafe
 
-// One benchmark per table/figure in the paper's evaluation. Each iteration
-// regenerates the figure with shortened (Quick) measurement windows; run
-// the cmd/fsbench binary for full-length windows and printed tables.
+// One sub-benchmark per registered figure (BenchmarkFigures/<id>, ids
+// from experiments.IDs()). Each iteration regenerates the figure with
+// shortened (Quick) measurement windows; run the cmd/fsbench binary for
+// full-length windows and printed tables.
 
 import (
 	"testing"
@@ -10,84 +11,15 @@ import (
 	"fastsafe/internal/experiments"
 )
 
-func benchFig(b *testing.B, id string) {
-	b.Helper()
+func BenchmarkFigures(b *testing.B) {
 	o := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ByID(id, o); err != nil {
-			b.Fatal(err)
-		}
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.ByID(id, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// Figure 2: Linux strict vs IOMMU off across flow counts (§2.2).
-func BenchmarkFig2(b *testing.B) { benchFig(b, "fig2") }
-
-// Figure 2e: PTcache-L3 locality trace under Linux strict.
-func BenchmarkFig2e(b *testing.B) { benchFig(b, "fig2e") }
-
-// Figure 3: ring-buffer-size sweep (§2.2).
-func BenchmarkFig3(b *testing.B) { benchFig(b, "fig3") }
-
-// Figure 3e: locality trace across ring sizes.
-func BenchmarkFig3e(b *testing.B) { benchFig(b, "fig3e") }
-
-// Figure 7: F&S vs strict vs off across flow counts (§4.1).
-func BenchmarkFig7(b *testing.B) { benchFig(b, "fig7") }
-
-// Figure 7e: locality trace under F&S.
-func BenchmarkFig7e(b *testing.B) { benchFig(b, "fig7e") }
-
-// Figure 8: F&S across ring sizes (§4.1).
-func BenchmarkFig8(b *testing.B) { benchFig(b, "fig8") }
-
-// Figure 8e: F&S locality trace across ring sizes.
-func BenchmarkFig8e(b *testing.B) { benchFig(b, "fig8e") }
-
-// Figure 9: RPC tail latency colocated with iperf (§4.1).
-func BenchmarkFig9(b *testing.B) { benchFig(b, "fig9") }
-
-// Figure 10: concurrent Rx/Tx interference (§4.1).
-func BenchmarkFig10(b *testing.B) { benchFig(b, "fig10") }
-
-// Figure 11a: Redis SET throughput vs value size (§4.2).
-func BenchmarkFig11Redis(b *testing.B) { benchFig(b, "fig11a") }
-
-// Figure 11b: Nginx throughput vs page size (§4.2).
-func BenchmarkFig11Nginx(b *testing.B) { benchFig(b, "fig11b") }
-
-// Figure 11c: SPDK read throughput vs block size (§4.2).
-func BenchmarkFig11SPDK(b *testing.B) { benchFig(b, "fig11c") }
-
-// Figure 12: per-idea ablation on Redis 8KB values (§4.3).
-func BenchmarkFig12(b *testing.B) { benchFig(b, "fig12") }
-
-// §2.2 analytic model validation and (l0, lm) re-fit.
-func BenchmarkModel(b *testing.B) { benchFig(b, "model") }
-
-// Extension: all eight protection modes side by side.
-func BenchmarkAllModes(b *testing.B) { benchFig(b, "modes") }
-
-// Extension: descriptor-size generality study (§3).
-func BenchmarkDescriptorSizes(b *testing.B) { benchFig(b, "descsize") }
-
-// Extension: PTcache-L3 size sensitivity (footnote 3).
-func BenchmarkPTCacheSizes(b *testing.B) { benchFig(b, "ptcache") }
-
-// Extension: F&S + hugepages (§5 future work).
-func BenchmarkHugepages(b *testing.B) { benchFig(b, "huge") }
-
-// Extension: memory-latency sensitivity (§2.2 contention).
-func BenchmarkMemoryLatency(b *testing.B) { benchFig(b, "memlat") }
-
-// Extension: memory-bandwidth antagonist (§2.2 contention, emergent).
-func BenchmarkMemoryHog(b *testing.B) { benchFig(b, "memhog") }
-
-// Extension: co-tenant storage device sharing the IOMMU.
-func BenchmarkStorage(b *testing.B) { benchFig(b, "storage") }
-
-// Extension: protection CPU cost per GB (cf. [39, 42]).
-func BenchmarkCPUCost(b *testing.B) { benchFig(b, "cpucost") }
-
-// Extension: seed variance.
-func BenchmarkSeeds(b *testing.B) { benchFig(b, "seeds") }
