@@ -346,27 +346,3 @@ func TestCSVFormat(t *testing.T) {
 		t.Fatalf("CSV = %q, want %q", got, want)
 	}
 }
-
-// TestFigureColumnsKnown checks that every grid figure names only
-// columns the column table defines and has one label per axis in every
-// cell, without running any simulation.
-func TestFigureColumnsKnown(t *testing.T) {
-	for _, f := range figures {
-		if f.Fn != nil {
-			continue
-		}
-		if len(f.cells) == 0 {
-			t.Errorf("%s: no cells", f.ID)
-		}
-		for _, k := range f.cols {
-			if columns[k].val == nil {
-				t.Errorf("%s: column %q is not in the column table", f.ID, k)
-			}
-		}
-		for i, c := range f.cells {
-			if len(c.labels) != len(f.axes) {
-				t.Errorf("%s cell %d: %d labels for %d axes", f.ID, i, len(c.labels), len(f.axes))
-			}
-		}
-	}
-}

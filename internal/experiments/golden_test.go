@@ -24,15 +24,6 @@ func goldenOpts() Options {
 	}
 }
 
-// Every registered figure is golden: testdata/golden holds one file per
-// id in IDs(), each the table rendered at goldenOpts. Together they lock
-// every construction path the figures reach — the single-host sweeps and
-// locality traces, the RPC and application tails, the co-tenant device
-// and antagonist tables, the fault, cluster, rdma, capability, serving
-// and adaptive campaigns, and the sharded engine at 64-256 hosts (its
-// rendered rows are deterministic; wall-clock lives in the JSON-only
-// Notes).
-
 // goldenRuns memoises each golden figure's table at goldenOpts, so the
 // golden test and TestIDsAllResolvable share one run per figure.
 var goldenRuns struct {
@@ -60,10 +51,16 @@ func goldenTable(t *testing.T, id string) Table {
 	return tab
 }
 
-// TestGoldenFiguresByteIdentical regenerates each golden figure and
-// requires byte-for-byte identity with the committed file. Regenerate
-// with UPDATE_GOLDEN=1 go test ./internal/experiments -run Golden —
-// but only when a results-changing modification is intentional.
+// TestGoldenFiguresByteIdentical regenerates every registered figure and
+// requires byte-for-byte identity with its committed file. Together the
+// files lock every construction path the figures reach: the single-host
+// sweeps and locality traces, the RPC and application tails, the
+// co-tenant device and antagonist tables, the fault, cluster, rdma,
+// capability, serving and adaptive campaigns, and the sharded engine at
+// 64-256 hosts (its rendered rows are deterministic; wall-clock lives in
+// the JSON-only Notes). Regenerate with
+// UPDATE_GOLDEN=1 go test ./internal/experiments -run Golden — but only
+// when a results-changing modification is intentional.
 func TestGoldenFiguresByteIdentical(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	for _, id := range IDs() {
